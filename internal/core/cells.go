@@ -113,10 +113,10 @@ func (e Experiment) RunContext(ctx context.Context, o Options, progress Progress
 func (e Experiment) runCells(ctx context.Context, o Options, progress Progress) ([][]byte, error) {
 	cells := e.Cells(o)
 	results := make([][]byte, len(cells))
-	tasks := make([]func() error, len(cells))
+	tasks := make([]func(context.Context) error, len(cells))
 	for i, c := range cells {
 		i, c := i, c
-		tasks[i] = func() error {
+		tasks[i] = func(ctx context.Context) error {
 			v, err := c.Run(ctx, o)
 			if err == nil {
 				results[i], err = EncodeCellResult(v)

@@ -22,17 +22,14 @@ import (
 // and inter-cell parallelism compose without oversubscribing the host.
 // GOMAXPROCS=1 forces fully sequential execution at every layer.
 
-// maxParallel returns the worker-pool width for n independent tasks, gated
-// by GOMAXPROCS (so SDPS experiments respect the same knob as the rest of
-// the Go runtime; set GOMAXPROCS=1 to force sequential execution).
-func maxParallel(n int) int { return par.Width(n) }
-
 // runTasks executes the tasks concurrently on the shared worker budget and
 // returns the first error in task order.  A task error does not stop the
 // other tasks (so result slices stay fully populated for the caller to
 // inspect), but a cancelled ctx does: workers stop claiming tasks, and the
-// error is the first task error if any task failed, else ctx.Err().
-func runTasks(ctx context.Context, tasks []func() error) error {
+// error is the first task error if any task failed, else ctx.Err().  Each
+// task gets the ctx par.Run hands it, which carries the budget slot of the
+// goroutine running it: a task that nests par.Run must pass that ctx on.
+func runTasks(ctx context.Context, tasks []func(context.Context) error) error {
 	n := len(tasks)
 	if n == 0 {
 		return nil
@@ -41,7 +38,7 @@ func runTasks(ctx context.Context, tasks []func() error) error {
 		ctx = context.Background()
 	}
 	errs := make([]error, n)
-	par.Run(ctx, n, func(i int) { errs[i] = tasks[i]() })
+	par.Run(ctx, n, func(ctx context.Context, i int) { errs[i] = tasks[i](ctx) })
 	for _, err := range errs {
 		if err != nil {
 			return err

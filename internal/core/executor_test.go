@@ -6,15 +6,18 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/par"
 )
 
 func TestRunTasksRunsAllAndPreservesSlots(t *testing.T) {
 	const n = 57
 	results := make([]int, n)
-	tasks := make([]func() error, 0, n)
+	tasks := make([]func(context.Context) error, 0, n)
 	for i := 0; i < n; i++ {
 		i := i
-		tasks = append(tasks, func() error {
+		tasks = append(tasks, func(context.Context) error {
 			results[i] = i * i
 			return nil
 		})
@@ -33,11 +36,11 @@ func TestRunTasksReturnsFirstErrorByOrder(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
 	var ran atomic.Int32
-	tasks := []func() error{
-		func() error { ran.Add(1); return nil },
-		func() error { ran.Add(1); return errA },
-		func() error { ran.Add(1); return errB },
-		func() error { ran.Add(1); return nil },
+	tasks := []func(context.Context) error{
+		func(context.Context) error { ran.Add(1); return nil },
+		func(context.Context) error { ran.Add(1); return errA },
+		func(context.Context) error { ran.Add(1); return errB },
+		func(context.Context) error { ran.Add(1); return nil },
 	}
 	err := runTasks(context.Background(), tasks)
 	if !errors.Is(err, errA) {
@@ -56,7 +59,7 @@ func TestRunTasksEmpty(t *testing.T) {
 
 func TestRunTasksNilContext(t *testing.T) {
 	ran := false
-	if err := runTasks(nil, []func() error{func() error { ran = true; return nil }}); err != nil || !ran {
+	if err := runTasks(nil, []func(context.Context) error{func(context.Context) error { ran = true; return nil }}); err != nil || !ran {
 		t.Fatalf("nil ctx must behave as Background: err=%v ran=%v", err, ran)
 	}
 }
@@ -68,9 +71,9 @@ func TestRunTasksCancellation(t *testing.T) {
 	defer cancel()
 	const n = 64
 	var ran atomic.Int32
-	tasks := make([]func() error, 0, n)
+	tasks := make([]func(context.Context) error, 0, n)
 	for i := 0; i < n; i++ {
-		tasks = append(tasks, func() error {
+		tasks = append(tasks, func(context.Context) error {
 			// The first task to run cancels everyone; tasks already
 			// claimed still finish (a cell is never half-recorded).
 			cancel()
@@ -91,20 +94,37 @@ func TestRunTasksPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	tasks := []func() error{func() error { ran.Add(1); return nil }}
+	tasks := []func(context.Context) error{func(context.Context) error { ran.Add(1); return nil }}
 	if err := runTasks(ctx, tasks); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
-func TestMaxParallelGating(t *testing.T) {
-	if got := maxParallel(0); got != 1 {
-		t.Fatalf("zero tasks still need one worker slot: %d", got)
+// TestRunTasksNestedRunFillsBudget runs tasks shaped like bisection cells:
+// each nests par.Run with the ctx it was given, as Cell.Run does through
+// the driver's speculative search.  The nested call must run on the task's
+// budget slot, so at GOMAXPROCS=2 two tasks are in flight at once.
+func TestRunTasksNestedRunFillsBudget(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+
+	const n = 6
+	var cur, peak atomic.Int32
+	tasks := make([]func(context.Context) error, n)
+	for i := range tasks {
+		tasks[i] = func(ctx context.Context) error {
+			c := cur.Add(1)
+			for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+			}
+			par.Run(ctx, 1, func(context.Context, int) { time.Sleep(5 * time.Millisecond) })
+			cur.Add(-1)
+			return nil
+		}
 	}
-	if got := maxParallel(1000); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("pool must be gated by GOMAXPROCS: %d vs %d", got, runtime.GOMAXPROCS(0))
+	if err := runTasks(context.Background(), tasks); err != nil {
+		t.Fatal(err)
 	}
-	if got := maxParallel(1); got != 1 {
-		t.Fatalf("one task needs one worker: %d", got)
+	if p := peak.Load(); p != 2 {
+		t.Fatalf("peak tasks in flight = %d, want 2 at GOMAXPROCS=2", p)
 	}
 }

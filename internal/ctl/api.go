@@ -24,8 +24,25 @@ import (
 //	POST /api/v1/leases/{id}/complete     body = canonical cell result
 //	POST /api/v1/leases/{id}/fail         {"reason"}
 //
-// Errors are {"error": "..."} with 404 for unknown IDs and 409 for stale
-// leases (the agent's cue to discard the result and poll on).
+// Errors are {"error": "..."} with 404 for unknown IDs, 409 for stale
+// leases (the agent's cue to discard the result and poll on) and 413 for a
+// request body over its cap.
+
+// Request body caps.  A body over its cap is cut off unread past the cap
+// and answered 413, so one hostile or runaway request cannot make the
+// coordinator buffer an unbounded body.
+const (
+	// maxJSONBody caps the JSON request bodies: a RunSpec (an inline
+	// scenario spec is a few KB; the shipped ones are at most 1.4 KB), an
+	// agent name, an abort or fail reason.
+	maxJSONBody = 1 << 20
+	// maxResultBody caps a completed cell's canonical result.  The largest
+	// any builtin experiment or shipped scenario produces is fig10's flink
+	// time series: 24,229 B at quick scale and 78,141 B at full scale
+	// (seed 42).  Every other quick-scale cell is under 5 KB.  The cap
+	// leaves more than 50x headroom.
+	maxResultBody = 4 << 20
+)
 
 // NewHandler serves a coordinator's REST API.
 func NewHandler(c *Coordinator) http.Handler {
@@ -33,8 +50,9 @@ func NewHandler(c *Coordinator) http.Handler {
 
 	mux.HandleFunc("POST /api/v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		var spec RunSpec
+		r.Body = http.MaxBytesReader(w, r.Body, maxJSONBody)
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+			writeErr(w, bodyStatus(err), fmt.Errorf("bad spec: %w", err))
 			return
 		}
 		info, err := c.Submit(spec)
@@ -97,8 +115,9 @@ func NewHandler(c *Coordinator) http.Handler {
 		var req struct {
 			Reason string `json:"reason"`
 		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxJSONBody)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyStatus(err), err)
 			return
 		}
 		info, err := c.Abort(r.PathValue("id"), req.Reason)
@@ -113,8 +132,9 @@ func NewHandler(c *Coordinator) http.Handler {
 		var req struct {
 			Name string `json:"name"`
 		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxJSONBody)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyStatus(err), err)
 			return
 		}
 		id, err := c.Register(req.Name)
@@ -147,9 +167,9 @@ func NewHandler(c *Coordinator) http.Handler {
 	})
 
 	mux.HandleFunc("POST /api/v1/leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		result, err := io.ReadAll(r.Body)
+		result, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBody))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyStatus(err), err)
 			return
 		}
 		if err := c.Complete(r.PathValue("id"), result); err != nil {
@@ -163,8 +183,9 @@ func NewHandler(c *Coordinator) http.Handler {
 		var req struct {
 			Reason string `json:"reason"`
 		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxJSONBody)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyStatus(err), err)
 			return
 		}
 		if err := c.Fail(r.PathValue("id"), req.Reason); err != nil {
@@ -235,6 +256,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// bodyStatus maps a request-body read or decode error to its status: 413
+// when the body overran its cap, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func statusFor(err error) int {

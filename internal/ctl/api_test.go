@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -246,5 +249,68 @@ func TestHTTPAgentKilledMidCell(t *testing.T) {
 	}
 	if want := directArtifact(t, exp, spec); !bytes.Equal(got, want) {
 		t.Fatal("artifact after failover differs from direct run")
+	}
+}
+
+// TestHTTPOversizedBodiesRejected pins the request body caps: a complete
+// body over maxResultBody and a spec over maxJSONBody are answered 413.
+// The oversized result is dropped unread: the cell stays leased to its
+// agent, nothing is stored or quarantined, and the lease can still
+// complete with the real result.
+func TestHTTPOversizedBodiesRejected(t *testing.T) {
+	exp := testExperiment("synth", 2, nil)
+	c, store := newTestCoordinator(t, CoordinatorOptions{Resolve: resolverFor(exp)})
+	srv := httptest.NewServer(NewHandler(c))
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	spec := append([]byte(`{"experiment":"`), bytes.Repeat([]byte("x"), maxJSONBody)...)
+	if got := post("/api/v1/runs", append(spec, `"}`...)); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", got)
+	}
+
+	info, err := cl.Submit(RunSpec{Experiment: "synth", Seed: 3, Scale: "quick"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent, err := cl.Register("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := cl.Lease(agent)
+	if err != nil || task == nil {
+		t.Fatalf("lease: %+v, %v", task, err)
+	}
+	if got := post("/api/v1/leases/"+task.LeaseID+"/complete", make([]byte, maxResultBody+1)); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized result: status %d, want 413", got)
+	}
+
+	ri, err := cl.Run(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := ri.Cells[task.CellIndex]
+	if ri.CellsDone != 0 || cell.Status != CellLeased || cell.Attempts != 0 {
+		t.Fatalf("rejected result touched the cell: done=%d cell=%+v", ri.CellsDone, cell)
+	}
+	if _, err := os.Stat(filepath.Join(store.Dir(), "quarantine")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("rejected result quarantined something: %v", err)
+	}
+
+	result, err := ExecuteCell(context.Background(), resolverFor(exp), task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Complete(task.LeaseID, result); err != nil {
+		t.Fatalf("lease unusable after a rejected result: %v", err)
 	}
 }

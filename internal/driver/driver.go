@@ -825,7 +825,7 @@ func (s *searcher) launch(nodes []specNode) {
 	}
 	s.stats.Speculative += len(idxs)
 	base := s.probeN
-	par.Run(s.ctx, len(idxs), func(j int) {
+	par.Run(s.ctx, len(idxs), func(_ context.Context, j int) {
 		i := idxs[j]
 		depth := uint64(bits.Len(uint(i+1)) - 1)
 		rate := (nodes[i].lo + nodes[i].hi) / 2

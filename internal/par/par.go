@@ -4,17 +4,21 @@
 // search inside a single cell (internal/driver).
 //
 // The budget is one shared invariant across all Run calls — nested or
-// concurrent roots: every caller and every recruited extra worker counts
-// against GOMAXPROCS slots.  A Run's calling goroutine always participates
+// concurrent roots: every goroutine running a task holds one of GOMAXPROCS
+// slots.  A slot belongs to a goroutine and travels in the ctx Run hands
+// to fn, so a Run nested inside a task reuses its caller's slot instead of
+// taking a second one; only a root Run — one whose ctx carries no slot,
+// such as the experiment grid or a ctl agent worker running a cell — takes
+// a slot for its caller.  A Run's calling goroutine always participates
 // (so nesting can never deadlock and a saturated pool degrades to
 // sequential execution in the caller); extra workers are recruited with a
 // non-blocking try-acquire and retire at the next task boundary when the
-// process has gone over budget.  Because callers are always admitted, a
-// burst of concurrent roots can transiently exceed the budget by the
+// process has gone over budget.  Because root callers are always admitted,
+// a burst of concurrent roots can transiently exceed the budget by the
 // in-flight tasks; the retirement rule converges the working count back to
-// max(GOMAXPROCS, live roots) within one task.  That is what lets a bisection cell speculate on probe rates
-// exactly when the grid around it has gone idle — and never oversubscribe
-// the host when it has not.
+// max(GOMAXPROCS, live roots) within one task.  That is what lets a
+// bisection cell speculate on probe rates exactly when the grid around it
+// has gone idle — and never oversubscribe the host when it has not.
 //
 // Determinism contract: Run executes each index at most once and callers
 // must make task results depend only on the index (write slot i of a result
@@ -30,13 +34,12 @@ import (
 )
 
 // working counts the goroutines currently occupying a budget slot: every
-// Run call's calling goroutine (counted at entry, for the call's duration)
-// plus every recruited extra worker.  Counting callers — including the
-// callers of concurrent root Runs, e.g. several ctl agent workers in one
+// root Run's calling goroutine (counted at entry, for the call's duration)
+// plus every recruited extra worker.  Counting root callers — including
+// those of concurrent roots, e.g. several ctl agent workers in one
 // process — is what keeps the budget honest when more than one Run is in
-// flight at once.  A nested Run's caller is counted a second time for the
-// duration of the inner call; that makes the accounting conservative (the
-// budget can be under-used by the nesting depth), never oversubscribed.
+// flight at once.  A nested Run's caller is not counted again: it already
+// holds the slot its ctx carries, and runs the inner tasks on it.
 var working atomic.Int64
 
 // budget returns the total worker budget, read at call time so tests (and
@@ -58,8 +61,10 @@ func tryAcquire() bool {
 
 func release() { working.Add(-1) }
 
-// Spare reports how many extra workers a Run started now could expect to
-// recruit beyond its own caller (0 on a saturated or single-core process).
+// Spare reports how many extra workers a root Run started now could expect
+// to recruit beyond its own caller (0 on a saturated or single-core
+// process).  A caller that already holds a slot — a task of an enclosing
+// Run — could recruit one more, as its nested Run takes no slot of its own.
 // It is advisory — the answer can change before the workers are recruited —
 // and is meant for sizing speculative work to the currently idle capacity.
 func Spare() int {
@@ -70,38 +75,36 @@ func Spare() int {
 	return int(s)
 }
 
-// Width returns the worker count a Run over n tasks would target: n clamped
-// to [1, GOMAXPROCS].
-func Width(n int) int {
-	w := int(budget())
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// slotKey marks a ctx handed to a task by Run: the goroutine running the
+// task holds a budget slot.
+type slotKey struct{}
 
-// Run executes fn(0..n-1), each index exactly once, unless ctx is cancelled
-// first — then workers stop claiming new indexes (indexes already claimed
-// still run to completion).  The calling goroutine participates; up to n-1
-// extra workers are recruited from the process budget.  Run returns when
-// every claimed index has finished.
-func Run(ctx context.Context, n int, fn func(int)) {
+// Run executes fn(ctx, 0..n-1), each index exactly once, unless ctx is
+// cancelled first — then workers stop claiming new indexes (indexes already
+// claimed still run to completion).  The calling goroutine participates; up
+// to n-1 extra workers are recruited from the process budget.  Run returns
+// when every claimed index has finished.
+//
+// fn receives ctx marked as carrying the running goroutine's slot, so a Run
+// nested in fn with that ctx reuses the slot.  A task must not hand that
+// ctx to a goroutine Run did not start: such a goroutine holds no slot.
+func Run(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
 	if n <= 0 {
 		return
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The caller occupies a budget slot for the duration of the call, so
+	// A root caller takes a slot for the duration of the call, so
 	// concurrent Runs (and Spare) see each other.
-	working.Add(1)
-	defer working.Add(-1)
+	if ctx.Value(slotKey{}) == nil {
+		working.Add(1)
+		defer working.Add(-1)
+		ctx = context.WithValue(ctx, slotKey{}, true)
+	}
 	if n == 1 {
 		if ctx.Err() == nil {
-			fn(0)
+			fn(ctx, 0)
 		}
 		return
 	}
@@ -119,7 +122,7 @@ func Run(ctx context.Context, n int, fn func(int)) {
 			if i >= n {
 				return
 			}
-			fn(i)
+			fn(ctx, i)
 		}
 	}
 	var wg sync.WaitGroup

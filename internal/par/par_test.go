@@ -12,7 +12,7 @@ import (
 func TestRunExecutesEveryIndexOnce(t *testing.T) {
 	const n = 100
 	counts := make([]atomic.Int64, n)
-	Run(context.Background(), n, func(i int) { counts[i].Add(1) })
+	Run(context.Background(), n, func(_ context.Context, i int) { counts[i].Add(1) })
 	for i := range counts {
 		if got := counts[i].Load(); got != 1 {
 			t.Fatalf("index %d ran %d times", i, got)
@@ -22,17 +22,17 @@ func TestRunExecutesEveryIndexOnce(t *testing.T) {
 
 func TestRunNilContextAndZeroTasks(t *testing.T) {
 	ran := false
-	Run(nil, 1, func(int) { ran = true })
+	Run(nil, 1, func(context.Context, int) { ran = true })
 	if !ran {
 		t.Fatal("nil ctx must behave as background")
 	}
-	Run(context.Background(), 0, func(int) { t.Fatal("no tasks to run") })
+	Run(context.Background(), 0, func(context.Context, int) { t.Fatal("no tasks to run") })
 }
 
 func TestRunStopsClaimingOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	Run(ctx, 50, func(i int) {
+	Run(ctx, 50, func(context.Context, int) {
 		if ran.Add(1) == 2 {
 			cancel()
 		}
@@ -63,8 +63,8 @@ func TestBudgetBoundsNestedRuns(t *testing.T) {
 		cur.Add(-1)
 	}
 	var total atomic.Int64
-	Run(context.Background(), 6, func(i int) {
-		Run(context.Background(), 5, func(j int) {
+	Run(context.Background(), 6, func(ctx context.Context, i int) {
+		Run(ctx, 5, func(context.Context, int) {
 			work()
 			total.Add(1)
 		})
@@ -74,6 +74,35 @@ func TestBudgetBoundsNestedRuns(t *testing.T) {
 	}
 	if p := peak.Load(); p > 4 {
 		t.Fatalf("peak concurrency %d exceeds GOMAXPROCS budget 4", p)
+	}
+	if working.Load() != 0 {
+		t.Fatalf("worker accounting leaked: %d", working.Load())
+	}
+}
+
+// TestNestedRunReusesCallerSlot pins that a Run nested in a task with the
+// ctx the task was given runs on the task's slot instead of taking a
+// second one.  Were the nested caller counted again, one outer task in its
+// nested Run would read 3 working on a budget of 2, and the outer Run's
+// extra worker would retire at its next task boundary: the outer tasks
+// would run one at a time.
+func TestNestedRunReusesCallerSlot(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+
+	var cur, peak atomic.Int64
+	Run(context.Background(), 6, func(ctx context.Context, i int) {
+		c := cur.Add(1)
+		for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+		}
+		Run(ctx, 1, func(context.Context, int) { time.Sleep(5 * time.Millisecond) })
+		cur.Add(-1)
+	})
+	switch p := peak.Load(); {
+	case p > 2:
+		t.Fatalf("peak outer tasks in flight = %d exceeds the budget of 2", p)
+	case p < 2:
+		t.Fatalf("peak outer tasks in flight = %d, want 2: a budget slot sat idle", p)
 	}
 	if working.Load() != 0 {
 		t.Fatalf("worker accounting leaked: %d", working.Load())
@@ -97,7 +126,7 @@ func TestConcurrentRootsConvergeToBudget(t *testing.T) {
 	wgA.Add(1)
 	go func() {
 		defer wgA.Done()
-		Run(context.Background(), 8, func(int) {
+		Run(context.Background(), 8, func(context.Context, int) {
 			<-blockA
 			time.Sleep(2 * time.Millisecond)
 		})
@@ -111,7 +140,7 @@ func TestConcurrentRootsConvergeToBudget(t *testing.T) {
 		wgB.Add(1)
 		go func() {
 			defer wgB.Done()
-			Run(context.Background(), 1, func(int) { <-blockB })
+			Run(context.Background(), 1, func(context.Context, int) { <-blockB })
 		}()
 	}
 	waitFor(t, "late roots to be admitted", func() bool { return working.Load() == 7 })
@@ -156,7 +185,7 @@ func TestSpareReflectsBusyWorkers(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Run(context.Background(), 4, func(i int) { <-block })
+		Run(context.Background(), 4, func(context.Context, int) { <-block })
 	}()
 	// Wait for the run to occupy the budget.
 	for i := 0; i < 1000 && Spare() != 0; i++ {
@@ -169,19 +198,5 @@ func TestSpareReflectsBusyWorkers(t *testing.T) {
 	<-done
 	if got := Spare(); got != 3 {
 		t.Fatalf("spare after drain = %d, want 3", got)
-	}
-}
-
-func TestWidth(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	if got := Width(1000); got != 4 {
-		t.Fatalf("Width(1000) = %d, want 4", got)
-	}
-	if got := Width(1); got != 1 {
-		t.Fatalf("Width(1) = %d, want 1", got)
-	}
-	if got := Width(0); got != 1 {
-		t.Fatalf("Width(0) = %d, want 1", got)
 	}
 }
