@@ -13,19 +13,18 @@
 // The injection point is the engine runtime's source pull (engine.Runtime
 // .Pull): every engine model converts its capacity law into a per-tick tuple
 // budget and pulls that many tuples from the driver queues, so scaling the
-// pull budget by the schedule's capacity factor models every fault kind
-// without touching any engine model.  The legacy kinds (kill-worker, stall)
-// evaluate as a cluster scalar; the per-worker kinds (partition,
-// slow-worker, checkpoint-restore) evaluate as a per-worker capacity vector
-// (Factors) whose mean scales the budget.  Input keeps arriving at the
-// offered rate throughout, so the backlog that accumulates during the fault
-// — and the time the SUT takes to drain it afterwards — is the measured
-// recovery behaviour (scenario measure kind "recovery-series").
+// pull budget by the schedule's capacity models every fault kind without
+// touching any engine model.  Every schedule evaluates through one formula,
+// Scale: the product of the active stalls times the mean of the per-worker
+// capacity vector (Factors) that carries the worker-local kinds.  Input
+// keeps arriving at the offered rate throughout, so the backlog that
+// accumulates during the fault — and the time the SUT takes to drain it
+// afterwards — is the measured recovery behaviour (scenario measure kind
+// "recovery-series").
 package fault
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"time"
 )
@@ -392,24 +391,6 @@ func (s *Schedule) validateDomains(workers int) error {
 // Empty reports whether the schedule injects nothing.
 func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
 
-// PerWorker reports whether the schedule needs the per-worker factor
-// vector: it contains at least one partition, slow-worker or
-// checkpoint-restore event.  Legacy schedules (kills and stalls only)
-// evaluate through the scalar Factor path, bit-identical to pre-vector
-// builds.
-func (s *Schedule) PerWorker() bool {
-	if s == nil {
-		return false
-	}
-	for i := range s.Events {
-		switch s.Events[i].Kind {
-		case KindPartition, KindSlowWorker, KindCheckpointRestore, KindDomainOutage:
-			return true
-		}
-	}
-	return false
-}
-
 // majorityGroup returns the index of the partition side that keeps its
 // capacity: the largest group, ties resolved to the first listed.
 func majorityGroup(groups [][]int) int {
@@ -424,12 +405,16 @@ func majorityGroup(groups [][]int) int {
 
 // Factors fills out with each worker's capacity factor at instant now, in
 // [0, 1] per worker, and returns it (grown when cap(out) < workers, so a
-// caller-held buffer is reused allocation-free in steady state).  rec is
-// the deployment's engine recovery model; it only affects
-// checkpoint-restore events, whose restore tail keeps the restarted
-// worker at zero capacity for rec.Restore(RestartAfter).  Effects compose
-// multiplicatively per worker; a worker killed by overlapping events is
-// simply down (0×0 = 0).  A nil or empty schedule yields all ones.
+// caller-held buffer is reused allocation-free in steady state).  Only the
+// worker-local kinds enter the vector — kill, checkpoint-restore,
+// slow-worker, partition and domain-outage; a stall is cluster-wide and
+// Scale applies it outside the mean.  Targets at or above workers (the
+// active count) are out of service and ignored.  rec is the deployment's
+// engine recovery model; it only affects checkpoint-restore events, whose
+// restore tail keeps the restarted worker at zero capacity for
+// rec.Restore(RestartAfter).  Effects compose multiplicatively per worker;
+// a worker killed by overlapping events is simply down (0×0 = 0).  A nil
+// or empty schedule yields all ones.
 func (s *Schedule) Factors(now time.Duration, workers int, rec Recovery, out []float64) []float64 {
 	if workers < 0 {
 		workers = 0
@@ -461,10 +446,6 @@ func (s *Schedule) Factors(now time.Duration, workers int, rec Recovery, out []f
 			if e.Worker < workers {
 				out[e.Worker] = 0
 			}
-		case KindStall:
-			for j := range out {
-				out[j] *= e.Factor
-			}
 		case KindSlowWorker:
 			if e.Worker < workers {
 				out[e.Worker] *= e.Factor
@@ -492,84 +473,35 @@ func (s *Schedule) Factors(now time.Duration, workers int, rec Recovery, out []f
 	return out
 }
 
-// Factor returns the cluster's capacity multiplier at instant now, in
-// [0, 1].  For legacy schedules (kills and stalls only) it is the
-// surviving-worker share times every active stall's factor, computed
-// exactly as pre-vector builds did; killing the same worker twice in
-// overlapping windows counts it down once.  For per-worker schedules it is
-// the mean of Factors under an instant recovery model (engine-specific
-// restore tails need Factors with the deployment's Recovery).  A nil or
-// empty schedule always returns 1.
-func (s *Schedule) Factor(now time.Duration, workers int) float64 {
-	if s == nil || len(s.Events) == 0 {
-		return 1
-	}
-	if workers > 0 && s.PerWorker() {
-		out := s.Factors(now, workers, Recovery{}, nil)
-		sum := 0.0
-		for _, v := range out {
-			sum += v
-		}
-		return sum / float64(workers)
+// Scale applies the schedule's capacity at instant now to a tuple budget
+// and returns the floored result with the (possibly grown) buffer:
+//
+//	n' = floor(n · stall(now) · mean(Factors(now, workers, rec)))
+//
+// stall(now) is the product of the active stalls' factors in event order.
+// It is applied once, outside the mean, rather than folded into every
+// worker's factor: a kill/stall schedule then yields a 0/1 vector whose
+// sum is an exact integer, so the result is the closed form
+// floor(n · Πstall · (w−d)/w) to the last bit.  buf is the caller's
+// reusable vector, which keeps the engine runtime's hot path
+// allocation-free.  A nil or empty schedule returns n unchanged.
+func (s *Schedule) Scale(n int, now time.Duration, workers int, rec Recovery, buf []float64) (int, []float64) {
+	if s == nil || len(s.Events) == 0 || n <= 0 {
+		return n, buf
 	}
 	f := 1.0
-	var downMask uint64
 	for i := range s.Events {
-		e := &s.Events[i]
-		if !e.active(now) {
-			continue
-		}
-		switch e.Kind {
-		case KindKillWorker:
-			downMask |= 1 << (uint(e.Worker) & 63)
-		case KindStall:
+		if e := &s.Events[i]; e.Kind == KindStall && e.active(now) {
 			f *= e.Factor
 		}
 	}
-	if downMask != 0 && workers > 0 {
-		down := bits.OnesCount64(downMask)
-		if down > workers {
-			down = workers
+	if workers > 0 {
+		buf = s.Factors(now, workers, rec, buf)
+		sum := 0.0
+		for _, v := range buf {
+			sum += v
 		}
-		f *= float64(workers-down) / float64(workers)
-	}
-	return f
-}
-
-// Scale applies the capacity factor at now to a tuple budget, flooring the
-// result (a partially-alive cluster never pulls more than its share).
-func (s *Schedule) Scale(n int, now time.Duration, workers int) int {
-	if s == nil || len(s.Events) == 0 || n <= 0 {
-		return n
-	}
-	f := s.Factor(now, workers)
-	if f >= 1 {
-		return n
-	}
-	return int(float64(n) * f)
-}
-
-// ScaleVec is Scale with the per-worker topology threaded through: for
-// legacy schedules it is exactly Scale (bit-identical to pre-vector
-// builds), for per-worker schedules it fills buf with Factors under the
-// deployment's recovery model and scales the budget by the vector's mean.
-// It returns the scaled budget and the (possibly grown) buffer, so the
-// engine runtime's hot path stays allocation-free.
-func (s *Schedule) ScaleVec(n int, now time.Duration, workers int, rec Recovery, buf []float64) (int, []float64) {
-	if s == nil || len(s.Events) == 0 || n <= 0 {
-		return n, buf
-	}
-	if workers <= 0 || !s.PerWorker() {
-		return s.Scale(n, now, workers), buf
-	}
-	buf = s.Factors(now, workers, rec, buf)
-	sum := 0.0
-	for _, v := range buf {
-		sum += v
-	}
-	f := sum / float64(workers)
-	if f >= 1 {
-		return n, buf
+		f *= sum / float64(workers)
 	}
 	return int(float64(n) * f), buf
 }

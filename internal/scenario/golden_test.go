@@ -20,6 +20,8 @@ import (
 var (
 	runMu    sync.Mutex
 	runCache = map[string]*core.Outcome{}
+
+	goldenOpts = core.Options{Seed: 42, Scale: core.Quick}
 )
 
 // runOnce executes a registered experiment at the golden configuration
@@ -36,7 +38,7 @@ func runOnce(t *testing.T, id string) *core.Outcome {
 	if err != nil {
 		t.Fatalf("lookup %s: %v", id, err)
 	}
-	out, err := e.Run(core.Options{Seed: 42, Scale: core.Quick})
+	out, err := e.Run(goldenOpts)
 	if err != nil {
 		t.Fatalf("run %s: %v", id, err)
 	}
@@ -51,24 +53,55 @@ func TestGoldenArtifactsByteIdentical(t *testing.T) {
 	for _, s := range Builtin() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", s.Name+".json"))
-			if err != nil {
-				t.Fatalf("golden artifact missing: %v", err)
-			}
 			e, err := core.Lookup(s.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := runOnce(t, s.Name)
-			got, err := core.NewArtifact(e, core.Options{Seed: 42, Scale: core.Quick}, out).Encode()
+			checkGolden(t, s.Name, e, runOnce(t, s.Name))
+		})
+	}
+	// The shipped example specs (faults, rescaling, skew, disorder) are
+	// pinned the same way; their goldens are `sdpsbench -scenario <file>
+	// -scale quick -seed 42 -json`.
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example scenarios found: %v", err)
+	}
+	for _, f := range files {
+		f := f
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			s, err := LoadFile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("artifact for %s differs from the pre-refactor golden output\n got %d bytes, want %d\nfirst divergence: %s",
-					s.Name, len(got), len(want), firstDiff(got, want))
+			e, err := Compile(s)
+			if err != nil {
+				t.Fatal(err)
 			}
+			out, err := e.Run(goldenOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, s.Name, e, out)
 		})
+	}
+}
+
+// checkGolden byte-compares the encoded artifact of one seed-42, quick-scale
+// run against testdata/golden/<name>.json.
+func checkGolden(t *testing.T, name string, e core.Experiment, out *core.Outcome) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".json"))
+	if err != nil {
+		t.Fatalf("golden artifact missing: %v", err)
+	}
+	got, err := core.NewArtifact(e, goldenOpts, out).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("artifact for %s differs from its golden output\n got %d bytes, want %d\nfirst divergence: %s",
+			name, len(got), len(want), firstDiff(got, want))
 	}
 }
 

@@ -229,3 +229,45 @@ func TestElasticRescaleDeterministicAndCostOrdered(t *testing.T) {
 		t.Fatal("artifact text should narrate the rescale transition")
 	}
 }
+
+// TestKillOfScaledInWorkerCausesNoDip pins that a fault's capacity does not
+// depend on the rescale plan's history: after a 4→6→2 plan, a kill of
+// worker 5 hits a worker that is out of service, so the kill leaves the
+// two active workers' throughput untouched and builds no backlog.
+func TestKillOfScaledInWorkerCausesNoDip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	s := Spec{
+		Name:    "scale-in-kill",
+		Title:   "kill of a scaled-in worker",
+		Seeds:   1,
+		Measure: Measure{Kind: MeasureRecoverySeries},
+		Rescale: []RescaleStep{{At: Duration(20e9), Workers: 6}, {At: Duration(35e9), Workers: 2}},
+		Faults: []Fault{
+			{Kind: "kill-worker", Worker: 5, At: Duration(50e9), RestartAfter: Duration(8e9)},
+		},
+		Sweeps: []Sweep{{
+			Engines: []string{"spark"},
+			Workers: []int{4},
+			Query:   Query{Kind: "aggregation"},
+			Load:    Load{Kind: LoadConstant, RateEvPerSec: 0.3e6},
+		}},
+	}
+	exp, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exp.Run(core.Options{Seed: 42, Scale: core.Quick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Micro-batch jitter alone moves the windowed minimum by a few
+	// percent; halving the two workers' capacity dips it by half.
+	if dip := out.Metrics["spark/fault0/dip"]; dip > 0.1 {
+		t.Fatalf("kill of scaled-in worker 5 dips throughput by %.2f, want none", dip)
+	}
+	if rec := out.Metrics["spark/fault0/recovery_s"]; rec != 0 {
+		t.Fatalf("kill of scaled-in worker 5 built a backlog (recovery_s = %v), want none", rec)
+	}
+}
