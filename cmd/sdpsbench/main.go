@@ -9,6 +9,7 @@
 //	sdpsbench -exp table1 -json            # canonical artifact encoding
 //	sdpsbench -exp fig9 -scale full -csv out/
 //	sdpsbench -all -scale quick
+//	sdpsbench -exp fig7 -replicate 3 -json  # = sdpsctl submit fig7 --replicate 3
 //	sdpsbench -scenario examples/scenarios/skew-sweep.json
 //	sdpsbench -scenario-validate examples/scenarios/*.json
 //
@@ -153,18 +154,11 @@ func main() {
 	}
 
 	if *reps > 0 {
-		for _, e := range exps {
-			// Replicated's artefact text is the cross-seed spread table.
-			out, err := core.Replicated(e, *reps).RunContext(ctx, opts, nil)
-			if errors.Is(err, context.Canceled) {
-				fatalf("%s: interrupted", e.ID)
-			}
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Println(out.Text)
+		// A replicated experiment runs one cell per (seed, base cell) and
+		// assembles the cross-seed spread table as its artefact.
+		for i, e := range exps {
+			exps[i] = core.Replicated(e, *reps)
 		}
-		return
 	}
 
 	var progress core.Progress

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,30 +244,29 @@ func TestReplicate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rep, err := Replicate("fig7", Options{Scale: Quick}, 3)
+	exp, err := Lookup("fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Seeds) != 3 {
-		t.Fatalf("seeds: %v", rep.Seeds)
+	out, err := Replicated(exp, 3).RunContext(context.Background(), Options{Scale: Quick}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s, ok := rep.Stats["event_slope"]
-	if !ok || s.N != 3 {
-		t.Fatalf("event_slope stats missing: %+v", s)
+	m := out.Metrics
+	if m["replicas"] != 3 {
+		t.Fatalf("replicas: %v", m["replicas"])
 	}
-	if !(s.Min <= s.Mean && s.Mean <= s.Max) {
-		t.Fatalf("stat ordering broken: %+v", s)
+	lo, mean, hi := m["event_slope/min"], m["event_slope/mean"], m["event_slope/max"]
+	if !(lo <= mean && mean <= hi) {
+		t.Fatalf("stat ordering broken: min %v mean %v max %v", lo, mean, hi)
 	}
 	// The overload divergence must be robust across seeds, not a
 	// single-seed artifact.
-	if s.Min < 0.05 {
-		t.Fatalf("event-time divergence should hold for every seed: min %v", s.Min)
+	if lo < 0.05 {
+		t.Fatalf("event-time divergence should hold for every seed: min %v", lo)
 	}
-	if rep.Text() == "" {
+	if out.Text == "" {
 		t.Fatal("replication must render")
-	}
-	if _, err := Replicate("nope", Options{}, 2); err == nil {
-		t.Fatal("unknown id accepted")
 	}
 }
 
@@ -282,14 +282,18 @@ func TestReplicateGoldenText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Replicate("fig7", Options{Seed: 42, Scale: Quick}, 3)
+	exp, err := Lookup("fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The golden file was captured via `sdpsbench -replicate`, whose
-	// Println appended one newline beyond Text()'s own.
-	if rep.Text() != strings.TrimSuffix(string(want), "\n") {
-		t.Fatalf("replication text drifted from golden:\n got:\n%s\nwant:\n%s", rep.Text(), want)
+	out, err := Replicated(exp, 3).RunContext(context.Background(), Options{Seed: 42, Scale: Quick}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden file was captured from sdpsbench's text output, whose
+	// Println appended one newline beyond the outcome text's own.
+	if out.Text != strings.TrimSuffix(string(want), "\n") {
+		t.Fatalf("replication text drifted from golden:\n got:\n%s\nwant:\n%s", out.Text, want)
 	}
 }
 

@@ -118,34 +118,6 @@ func replicationFromRaws(base Experiment, o Options, runs int, raws [][]byte) (*
 	return rep, nil
 }
 
-// Replicate runs the experiment once per seed and aggregates every metric.
-// Seeds are derived from opts.Seed (opts.Seed, +7919, ...).  The per-seed
-// runs expand to one cell per (seed, base cell) and execute on the worker
-// pool; samples are folded in seed order, making the aggregate identical to
-// a sequential replication.
-func Replicate(id string, opts Options, runs int) (*Replication, error) {
-	return ReplicateContext(context.Background(), id, opts, runs)
-}
-
-// ReplicateContext is Replicate with cancellation: a cancelled ctx aborts
-// the in-flight replicas (each replica's cells check it) and returns
-// without a replication.
-func ReplicateContext(ctx context.Context, id string, opts Options, runs int) (*Replication, error) {
-	if runs <= 0 {
-		runs = 3
-	}
-	opts = opts.WithDefaults()
-	exp, err := Lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	raws, err := Replicated(exp, runs).runCells(ctx, opts, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: replicate %s: %w", id, err)
-	}
-	return replicationFromRaws(exp, opts, runs, raws)
-}
-
 func summarize(vs []float64) ReplicaStat {
 	s := ReplicaStat{N: len(vs), Min: math.Inf(1), Max: math.Inf(-1)}
 	var sum, sumSq float64

@@ -162,7 +162,12 @@ func (a *Agent) execute(ctx context.Context, agentID string, task *LeaseTask, tt
 		_ = a.API.Fail(task.LeaseID, err.Error())
 		return
 	}
-	_ = a.API.Complete(task.LeaseID, result)
+	// A refused result (oversized body, journal failure) would otherwise
+	// hold the cell until its lease expired; failing the lease re-queues it
+	// now.  A stale lease means another execution already won.
+	if err := a.API.Complete(task.LeaseID, result); err != nil && !errors.Is(err, ErrStaleLease) {
+		_ = a.API.Fail(task.LeaseID, "complete refused: "+err.Error())
+	}
 }
 
 // executeCached runs one leased cell, serving it from the result cache

@@ -14,7 +14,7 @@ import (
 //	GET  /api/v1/runs                     list runs
 //	GET  /api/v1/runs/{id}                one run, with per-cell detail
 //	GET  /api/v1/runs/{id}/artifact       canonical artifact bytes
-//	GET  /api/v1/runs/{id}/manifest       persisted RunManifest (cell -> result SHA map)
+//	GET  /api/v1/runs/{id}/manifest       live RunManifest (cell -> result SHA map)
 //	GET  /api/v1/objects/{sha}            stored object bytes (cell result or artifact)
 //	GET  /api/v1/runs/{id}/events         SSE progress stream
 //	POST /api/v1/runs/{id}/abort          {"reason"} -> RunInfo (run fails, nothing re-queues)

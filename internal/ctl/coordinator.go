@@ -103,11 +103,12 @@ type subscriber struct {
 }
 
 // NewCoordinator opens the store's runs and resumes every non-terminal
-// one: cells with a stored result are reloaded from the object store, the
-// rest are re-queued, and the write-ahead journal is replayed on top so
-// leases, registered agents and attempt counts from between manifest saves
-// survive the restart.  A crash therefore loses at most the in-flight cell
-// executions, never completed results or counted attempts.
+// one: cells with a result in the manifest snapshot are reloaded from the
+// object store, and the write-ahead journal is replayed on top so the
+// completions, attempt counts, leases and registered agents since that
+// snapshot survive the restart; the remaining cells are re-queued.  A
+// crash therefore loses at most the in-flight cell executions, never
+// completed results or counted attempts.
 func NewCoordinator(store *Store, opt CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		store:  store,
@@ -135,7 +136,8 @@ func NewCoordinator(store *Store, opt CoordinatorOptions) (*Coordinator, error) 
 	return c, nil
 }
 
-// resume rebuilds one run's in-memory state from its manifest.
+// resume rebuilds one run's in-memory state from its manifest snapshot;
+// replayJournal then brings it up to date.
 func (c *Coordinator) resume(m *RunManifest) error {
 	var n int
 	if _, err := fmt.Sscanf(m.ID, "run-%d", &n); err == nil && n > c.seq {
@@ -179,7 +181,6 @@ func (c *Coordinator) resume(m *RunManifest) error {
 		}
 		return nil
 	}
-	dirty := false
 	for i := range r.m.Cells {
 		r.status[i] = CellPending
 		sha := r.m.Cells[i].ResultSHA
@@ -199,24 +200,13 @@ func (c *Coordinator) resume(m *RunManifest) error {
 				return fmt.Errorf("resume %s: %w", m.ID, qerr)
 			}
 			r.m.Cells[i].ResultSHA = ""
-			dirty = true
 		case errors.Is(err, ErrNotFound):
 			// The result object vanished (e.g. a partial restore):
 			// recompute the cell.
 			r.m.Cells[i].ResultSHA = ""
-			dirty = true
 		default:
 			return fmt.Errorf("resume %s: %w", m.ID, err)
 		}
-	}
-	if dirty {
-		if err := c.store.SaveRun(&r.m); err != nil {
-			return err
-		}
-	}
-	if r.done == len(r.cells) {
-		// Crashed between the last cell and assembly.
-		return c.finishLocked(r)
 	}
 	for i := range r.cells {
 		if r.status[i] == CellPending {
@@ -330,9 +320,10 @@ func (c *Coordinator) Artifact(id string) ([]byte, error) {
 	return c.store.GetObject(sha)
 }
 
-// Manifest returns a copy of a run's persisted manifest — the cell →
+// Manifest returns a copy of a run's live manifest — the cell →
 // result-object map read-side consumers (sdpsreport --from, sdpsctl fetch
-// --dir) use to re-assemble artifacts from the store.
+// --dir) use to re-assemble artifacts from the store.  For a running run
+// it is ahead of the on-disk snapshot.
 func (c *Coordinator) Manifest(id string) (*RunManifest, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -368,7 +359,6 @@ func (c *Coordinator) Abort(id, reason string) (RunInfo, error) {
 	if reason != "" {
 		msg += ": " + reason
 	}
-	c.journal(JournalEntry{Op: opAbort, Run: id, Reason: msg})
 	for lid, l := range c.leases {
 		if l.runID == id {
 			delete(c.leases, lid)
@@ -486,10 +476,12 @@ func (c *Coordinator) Complete(leaseID string, result []byte) error {
 		// up, the TTL expires and the cell is re-queued.
 		return err
 	}
-	// Journal after the object exists but before any memory mutation: a
-	// crash before the manifest save replays this entry and recovers the
-	// result from the store.
-	c.journal(JournalEntry{Op: opComplete, Lease: leaseID, Run: l.runID, Cell: l.idx, SHA: sha})
+	// The journal entry is the completion's only durable record: append
+	// it after the object exists but before any memory mutation, and
+	// refuse the completion (keeping the lease) if it cannot be written.
+	if err := c.store.AppendJournal(JournalEntry{Op: opComplete, Lease: leaseID, Run: l.runID, Cell: l.idx, SHA: sha}); err != nil {
+		return err
+	}
 	delete(c.leases, leaseID)
 	r.results[l.idx] = result
 	r.status[l.idx] = CellDone
@@ -503,7 +495,7 @@ func (c *Coordinator) Complete(leaseID string, result []byte) error {
 	if r.done == len(r.cells) {
 		return c.finishLocked(r)
 	}
-	return c.store.SaveRun(&r.m)
+	return nil
 }
 
 // Fail implements AgentAPI: counts the attempt and either re-queues the
@@ -524,11 +516,12 @@ func (c *Coordinator) Fail(leaseID string, reason string) error {
 }
 
 // retryLocked counts one failed attempt for a cell and re-queues or fails.
+// The journal entry is the attempt's durable record; if it cannot be
+// written the cell is still re-queued in memory (it must not stay leased
+// without a lease) and the append error is returned.
 func (c *Coordinator) retryLocked(r *run, idx int, reason string) error {
 	r.m.Cells[idx].Attempts++
-	// Journal before the requeue/fail decision: a crash between counting
-	// the attempt and saving the manifest replays the count on restart.
-	c.journal(JournalEntry{Op: opFail, Run: r.m.ID, Cell: idx, Attempts: r.m.Cells[idx].Attempts, Reason: reason})
+	jerr := c.store.AppendJournal(JournalEntry{Op: opFail, Run: r.m.ID, Cell: idx, Attempts: r.m.Cells[idx].Attempts, Reason: reason})
 	if r.m.Cells[idx].Attempts >= c.opt.MaxAttempts {
 		return c.failLocked(r, fmt.Sprintf("cell %s failed %d times: last: %s",
 			r.cells[idx].ID, r.m.Cells[idx].Attempts, reason))
@@ -540,7 +533,7 @@ func (c *Coordinator) retryLocked(r *run, idx int, reason string) error {
 		Cell: r.cells[idx].ID, CellStatus: CellPending, Agent: r.agent[idx],
 		Done: r.done, Total: len(r.cells), Error: reason,
 	})
-	return c.store.SaveRun(&r.m)
+	return jerr
 }
 
 // sweepLocked re-queues the cells of every expired lease.
@@ -554,8 +547,8 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		if r == nil || r.m.Status.Terminal() || r.status[l.idx] != CellLeased {
 			continue
 		}
-		// A sweep failure (store I/O) surfaces on the next state change;
-		// the requeue itself is in-memory and has already happened.
+		// A store failure (journal append or manifest save) is dropped
+		// here: the requeue itself is in-memory and has already happened.
 		_ = c.retryLocked(r, l.idx, fmt.Sprintf("lease expired (agent %s gone?)", r.agent[l.idx]))
 	}
 }

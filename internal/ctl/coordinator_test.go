@@ -453,3 +453,67 @@ func TestSubmitUnknownExperiment(t *testing.T) {
 		t.Fatalf("unknown agent: %v", err)
 	}
 }
+
+// BenchmarkCoordinatorCompleteRun leases and completes every cell of a
+// synthetic run in-process over a disk-backed store and reports the mean
+// wall time of one Complete (the last one includes artifact assembly).
+// Lease and setup time are excluded from µs/complete.
+func BenchmarkCoordinatorCompleteRun(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("cells=%d", n), func(b *testing.B) {
+			exp := testExperiment("synth", n, nil)
+			resolve := resolverFor(exp)
+			spec := RunSpec{Experiment: "synth", Seed: 1}
+			o, err := spec.Options()
+			if err != nil {
+				b.Fatal(err)
+			}
+			results := make([][]byte, n)
+			for i, cell := range exp.Cells(o) {
+				v, err := cell.Run(context.Background(), o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if results[i], err = core.EncodeCellResult(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var completes time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				store, err := NewStore(b.TempDir())
+				if err != nil {
+					b.Fatal(err)
+				}
+				c, err := NewCoordinator(store, CoordinatorOptions{Resolve: resolve})
+				if err != nil {
+					b.Fatal(err)
+				}
+				info, err := c.Submit(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				agent, _ := c.Register("bench")
+				b.StartTimer()
+				for {
+					task, err := c.Lease(agent)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if task == nil {
+						break
+					}
+					start := time.Now()
+					if err := c.Complete(task.LeaseID, results[task.CellIndex]); err != nil {
+						b.Fatal(err)
+					}
+					completes += time.Since(start)
+				}
+				if ri, _ := c.Run(info.ID); ri.Status != RunDone {
+					b.Fatalf("run did not finish: %+v", ri.Status)
+				}
+			}
+			b.ReportMetric(float64(completes.Microseconds())/float64(n*b.N), "µs/complete")
+		})
+	}
+}

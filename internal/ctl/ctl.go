@@ -116,12 +116,12 @@ type CellManifest struct {
 	Attempts int `json:"attempts,omitempty"`
 }
 
-// RunManifest is the persisted state of a run — everything the coordinator
-// needs to resume it after a restart.  Leases and attempt counts between
-// manifest saves are volatile; the write-ahead journal (journal.go)
-// captures those transitions, and a restart replays it over the resumed
-// manifests so in-flight leases, registered agents and counted attempts
-// survive a coordinator crash.
+// RunManifest is a snapshot of a run, written at submit, at its terminal
+// transition and once per restart while it is live.  Per-cell transitions
+// between snapshots (completions, counted attempts) are recorded only in
+// the write-ahead journal (journal.go); a restart replays the journal over
+// the snapshot.  A terminal run's manifest is complete on its own; a live
+// run's on-disk manifest lags its in-memory state (Coordinator.Manifest).
 type RunManifest struct {
 	ID          string         `json:"id"`
 	Spec        RunSpec        `json:"spec"`

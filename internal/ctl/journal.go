@@ -12,36 +12,36 @@ import (
 
 // The coordinator's write-ahead journal.
 //
-// Run manifests are the durable source of truth, but they are rewritten
-// whole and only on result-bearing transitions; everything between two
-// saves — which agents are registered, which leases are live, how many
-// attempts a cell has consumed, that an abort was requested — used to be
-// purely in-memory and died with the process.  The journal narrows that
-// window to a single appended line per transition: the coordinator appends
-// an entry *before* mutating memory or saving the manifest, and a restart
-// replays the journal over the resumed manifests.
+// The journal is the only durable record of per-cell transitions: every
+// completion and every counted attempt is one appended line, written
+// before the coordinator mutates memory.  Run manifests are snapshots,
+// written whole only at submit, at terminal transitions (done, failed,
+// aborted) and once per live run at restart, just before the journal is
+// compacted.  An on-disk manifest of a live run therefore shows it as of
+// its last snapshot; Coordinator.Run (sdpsctl status) is the live view.
 //
 // The format is JSON Lines (one JournalEntry per line) in
 // <data>/journal.jsonl.  Appends are O_APPEND writes of complete lines; a
 // crash mid-append leaves at most one torn final line, which LoadJournal
 // treats as the end of the journal.  Replay is idempotent: entries already
-// reflected in a manifest (a complete whose SHA the manifest records, an
-// attempt count it already reached) are no-ops, so journal and manifest
-// can overlap arbitrarily.  After replay the journal is compacted down to
-// the still-volatile state (registered agents, live leases).
+// reflected in a snapshot (a complete whose SHA the manifest records, an
+// attempt count it already reached) are no-ops, so a crash between the
+// restart snapshots and compaction is harmless.  After replay the journal
+// is compacted down to the still-volatile state (registered agents, live
+// leases).
 //
-// Journal append errors are deliberately ignored by the coordinator: the
-// manifests alone still recover everything except sub-save lease/attempt
-// state, which is exactly the pre-journal behaviour.  A broken disk
-// degrades recovery precision, never correctness.
+// A complete or fail entry that cannot be appended is an error the caller
+// sees (Complete keeps the lease; a failed attempt is still re-queued in
+// memory).  Agent and lease entries are best-effort: losing them costs a
+// re-registration or a lease TTL, never a result.  Nothing is fsynced, so
+// the journal survives a SIGKILL of the coordinator but not power loss.
 
 // Journal operations.
 const (
 	opAgent    = "agent"    // an agent registered
 	opLease    = "lease"    // a cell was leased
-	opComplete = "complete" // a cell result was stored (pre-manifest-save)
+	opComplete = "complete" // a cell result was stored
 	opFail     = "fail"     // an attempt was counted (pre-requeue/fail)
-	opAbort    = "abort"    // a run abort was requested
 )
 
 // JournalEntry is one journaled state transition.
@@ -107,7 +107,7 @@ func (s *Store) LoadJournal() ([]JournalEntry, error) {
 
 // CompactJournal atomically replaces the journal with the given entries
 // (the still-volatile state after a replay has folded the rest into
-// manifests).
+// manifest snapshots).
 func (s *Store) CompactJournal(entries []JournalEntry) error {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
@@ -134,20 +134,19 @@ func (s *Store) CompactJournal(entries []JournalEntry) error {
 	return nil
 }
 
-// journal appends a write-ahead entry, best-effort (see the package note on
-// why errors are swallowed: manifests stay the source of truth).
+// journal appends a best-effort write-ahead entry (agent and lease
+// entries; see the package note on why their errors are swallowed).
 func (c *Coordinator) journal(e JournalEntry) { _ = c.store.AppendJournal(e) }
 
 // replayJournal applies the write-ahead journal over the state resume()
-// rebuilt from manifests.  Called once from NewCoordinator, before any
-// concurrent access.
+// rebuilt from manifest snapshots.  Called once from NewCoordinator,
+// before any concurrent access.
 func (c *Coordinator) replayJournal() error {
 	entries, err := c.store.LoadJournal()
 	if err != nil {
 		return err
 	}
 	now := c.opt.Clock()
-	dirty := map[string]bool{}
 	for _, e := range entries {
 		switch e.Op {
 		case opAgent:
@@ -200,7 +199,6 @@ func (c *Coordinator) replayJournal() error {
 			r.status[e.Cell] = CellDone
 			r.m.Cells[e.Cell].ResultSHA = e.SHA
 			r.done++
-			dirty[e.Run] = true
 		case opFail:
 			for lid, l := range c.leases {
 				if l.runID == e.Run && l.idx == e.Cell {
@@ -216,52 +214,37 @@ func (c *Coordinator) replayJournal() error {
 			}
 			if e.Attempts > r.m.Cells[e.Cell].Attempts {
 				r.m.Cells[e.Cell].Attempts = e.Attempts
-				dirty[e.Run] = true
 			}
 			if r.m.Cells[e.Cell].Attempts >= c.opt.MaxAttempts {
 				if err := c.failLocked(r, fmt.Sprintf("cell %s failed %d times: last: %s",
 					r.cells[e.Cell].ID, r.m.Cells[e.Cell].Attempts, e.Reason)); err != nil {
 					return err
 				}
-				delete(dirty, e.Run) // failLocked saved the manifest
 			}
-		case opAbort:
-			r := c.runs[e.Run]
-			if r == nil || r.m.Status.Terminal() {
-				continue
-			}
-			for lid, l := range c.leases {
-				if l.runID == e.Run {
-					delete(c.leases, lid)
-				}
-			}
-			if err := c.failLocked(r, e.Reason); err != nil {
-				return err
-			}
-			delete(dirty, e.Run)
-		}
-	}
-	for id := range dirty {
-		if err := c.store.SaveRun(&c.runs[id].m); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// settleResumed finishes any run the journal replay completed and compacts
-// the journal down to the still-volatile state: registered agents and live
-// leases.  Called once from NewCoordinator, after replayJournal.
+// settleResumed finishes any run whose cells are all done (a crash
+// between the last cell and assembly), snapshots every other live run's
+// manifest, and only then compacts the journal down to the still-volatile
+// state: registered agents and live leases.  Called once from
+// NewCoordinator, after replayJournal.
 func (c *Coordinator) settleResumed() error {
 	for _, id := range c.order {
 		r := c.runs[id]
 		if r.m.Status.Terminal() || r.cells == nil {
 			continue
 		}
+		var err error
 		if r.done == len(r.cells) {
-			if err := c.finishLocked(r); err != nil {
-				return err
-			}
+			err = c.finishLocked(r)
+		} else {
+			err = c.store.SaveRun(&r.m)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	var keep []JournalEntry

@@ -116,9 +116,10 @@ func TestLeaseExpiryRacesAssembly(t *testing.T) {
 	}
 }
 
-// TestJournalReplaysFailBeforeRequeue simulates a coordinator crash in the
-// window between journaling a cell failure and saving the manifest: the
-// journal entry alone must carry the attempt count across the restart.
+// TestJournalReplaysFailBeforeRequeue simulates a coordinator crash right
+// after a cell failure was journaled but before Fail re-queued the cell:
+// the journal entry, the attempt's only durable record, must carry the
+// count across the restart and into the restart's manifest snapshot.
 func TestJournalReplaysFailBeforeRequeue(t *testing.T) {
 	t.Run("requeued", func(t *testing.T) {
 		exp := testExperiment("synth", 3, nil)
@@ -206,6 +207,139 @@ func TestJournalReplaysFailBeforeRequeue(t *testing.T) {
 			t.Fatalf("failed run should carry the reason: %+v", ri)
 		}
 	})
+}
+
+// TestCompleteWritesNoManifest pins the journal as the only per-cell
+// record: completing cells leaves the submit snapshot on disk untouched,
+// and a restart still recovers every completion from the journal.
+func TestCompleteWritesNoManifest(t *testing.T) {
+	const n, k = 5, 3
+	var executions atomic.Int32
+	gate := func(ctx context.Context, cell string) error {
+		executions.Add(1)
+		return nil
+	}
+	exp := testExperiment("synth", n, gate)
+	opt := CoordinatorOptions{Resolve: resolverFor(exp)}
+	c1, store := newTestCoordinator(t, opt)
+	spec := RunSpec{Experiment: "synth", Seed: 4}
+	want := directArtifact(t, exp, spec)
+	executions.Store(0)
+	info, err := c1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(store.Dir(), "runs", info.ID+".json")
+	submitted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, _ := c1.Register("a")
+	for i := 0; i < k; i++ {
+		task, err := c1.Lease(a)
+		if err != nil || task == nil {
+			t.Fatalf("lease %d: %+v, %v", i, task, err)
+		}
+		res, err := ExecuteCell(context.Background(), resolverFor(exp), task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c1.Complete(task.LeaseID, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, submitted) {
+		t.Fatalf("Complete rewrote the manifest:\n got: %s\nwant: %s", got, submitted)
+	}
+
+	c2 := reopenCoordinator(t, store, opt)
+	ri, err := c2.Run(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri.CellsDone != k {
+		t.Fatalf("restart recovered %d done cells, want %d", ri.CellsDone, k)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wg := runAgents(ctx, c2, 1, resolverFor(exp))
+	final := waitTerminal(t, c2, info.ID)
+	cancel()
+	wg.Wait()
+	if final.Status != RunDone {
+		t.Fatalf("resumed run failed: %+v", final)
+	}
+	if got := executions.Load(); got != n {
+		t.Fatalf("%d executions, want %d: finished cells re-executed", got, n)
+	}
+	art, err := c2.Artifact(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(art, want) {
+		t.Fatal("resumed artifact differs from direct run")
+	}
+}
+
+// TestCompleteRefusedWhenJournalFails: with the journal unwritable, a
+// completion has no durable record, so Complete must refuse it and keep
+// the lease; once the journal is writable again the same lease lands.
+func TestCompleteRefusedWhenJournalFails(t *testing.T) {
+	exp := testExperiment("synth", 2, nil)
+	c, store := newTestCoordinator(t, CoordinatorOptions{Resolve: resolverFor(exp)})
+	info, err := c.Submit(RunSpec{Experiment: "synth"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NewCoordinator's compaction closed the journal handle, so the next
+	// append reopens the path, which is now a directory.
+	jpath := filepath.Join(store.Dir(), "journal.jsonl")
+	if err := os.Remove(jpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(jpath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c.Register("a")
+	task, err := c.Lease(a)
+	if err != nil || task == nil {
+		t.Fatalf("lease: %+v, %v", task, err)
+	}
+	res, err := ExecuteCell(context.Background(), resolverFor(exp), task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(task.LeaseID, res); err == nil || errors.Is(err, ErrStaleLease) {
+		t.Fatalf("complete without a journal: want a journal error, got %v", err)
+	}
+	ri, err := c.Run(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri.CellsDone != 0 || ri.Cells[task.CellIndex].Status != CellLeased {
+		t.Fatalf("refused completion changed the cell: %+v", ri)
+	}
+	c.mu.Lock()
+	_, held := c.leases[task.LeaseID]
+	c.mu.Unlock()
+	if !held {
+		t.Fatal("refused completion dropped the lease")
+	}
+
+	if err := os.Remove(jpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(task.LeaseID, res); err != nil {
+		t.Fatalf("complete after the journal came back: %v", err)
+	}
+	if ri, _ := c.Run(info.ID); ri.CellsDone != 1 {
+		t.Fatalf("completion did not land: %+v", ri)
+	}
 }
 
 // TestJournalCrashRecoveryProperty is a small randomized property test: for
@@ -349,8 +483,13 @@ func TestResumeQuarantinesCorruptResult(t *testing.T) {
 		mu.Unlock()
 	}
 
-	// Corrupt the first completed cell's object on disk.
-	m := runManifest(t, store, info.ID)
+	// Corrupt the first completed cell's object on disk.  Mid-run the
+	// on-disk manifest is still the submit snapshot, so the SHA comes from
+	// the live coordinator.
+	m, err := c1.Manifest(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sha := m.Cells[0].ResultSHA
 	if sha == "" {
 		t.Fatalf("cell 0 should be done: %+v", m.Cells)

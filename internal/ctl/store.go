@@ -17,17 +17,19 @@ import (
 // per run.  Layout under the data directory:
 //
 //	objects/ab/cdef1234...   blob addressed by its SHA-256 (hex)
-//	runs/run-0001.json       RunManifest, rewritten atomically on change
+//	runs/run-0001.json       RunManifest snapshot, rewritten atomically
+//	journal.jsonl            write-ahead journal of per-cell transitions
 //
 // Content addressing gives three properties for free: byte-identical cell
 // results (e.g. the same cell re-executed after a lease expiry) deduplicate
 // into one object; an artifact's SHA doubles as its integrity check; and a
-// restarted coordinator resumes a half-finished run by loading manifests
-// and re-queueing exactly the cells without a ResultSHA.
+// restarted coordinator resumes a half-finished run by loading manifests,
+// replaying the journal and re-queueing exactly the cells without a result.
 //
-// Alongside the manifests lives journal.jsonl, the coordinator's
-// write-ahead journal (see journal.go): volatile queue/lease/attempt
-// transitions appended between manifest saves, replayed on restart.
+// The journal (see journal.go) is the per-cell record: every completion
+// and counted attempt is appended there, while manifests are snapshots
+// written only at submit, at terminal transitions and at restart.  No
+// write is fsynced: the store survives SIGKILL, not power loss.
 type Store struct {
 	dir string
 	// mu serialises manifest writes; object writes are naturally
