@@ -66,8 +66,8 @@ race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/par/
 	GOMAXPROCS=4 $(GO) test -race ./internal/flat/
 	GOMAXPROCS=4 $(GO) test -race ./internal/driver/ -run 'TestSpeculative|TestWarmStart|TestProbe'
-	GOMAXPROCS=4 $(GO) test -race ./internal/scenario/ -run 'TestTable1Shape'
-	GOMAXPROCS=4 $(GO) test -race ./internal/core/ -run 'TestReplicate|TestExp4Shape|TestRunTasks'
+	GOMAXPROCS=4 $(GO) test -race ./internal/scenario/ -run 'TestTable1Shape|TestReplicate|TestExp4Shape'
+	GOMAXPROCS=4 $(GO) test -race ./internal/core/ -run 'TestRunTasks'
 	$(GO) test -race -short ./internal/ctl/
 
 # Seed-corpus fuzz pass: each fuzz target's seed corpus runs as unit

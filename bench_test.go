@@ -8,7 +8,7 @@
 // re-derives the whole evaluation.  Absolute numbers come from the
 // calibrated simulation substrate (see DESIGN.md §2); the shapes — who
 // wins, by what factor, where the crossovers fall — are asserted in
-// internal/core's tests and recorded against the paper in EXPERIMENTS.md.
+// internal/scenario's tests and recorded against the paper in EXPERIMENTS.md.
 //
 // Benchmarks run at Quick scale by default so the full suite stays in the
 // minutes range; set SDPS_BENCH_SCALE=full for evaluation fidelity.
@@ -20,7 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	// Registers the grid experiments declared as scenario specs.
+	// Registers the paper's experiments declared as scenario specs.
 	_ "repro/internal/scenario"
 )
 
@@ -72,8 +72,8 @@ func reportHeadlines(b *testing.B, id string, out *core.Outcome) {
 		b.ReportMetric(out.Metrics["flink/2/100/avg"], "flink2_avg_s")
 		b.ReportMetric(out.Metrics["spark/2/100/avg"], "spark2_avg_s")
 	case "fig7":
-		b.ReportMetric(out.Metrics["event_slope"], "event_slope_s/s")
-		b.ReportMetric(out.Metrics["proc_slope"], "proc_slope_s/s")
+		b.ReportMetric(out.Metrics["spark/event_slope"], "event_slope_s/s")
+		b.ReportMetric(out.Metrics["spark/proc_slope"], "proc_slope_s/s")
 	case "fig9":
 		b.ReportMetric(out.Metrics["flink/cv"], "flink_cv")
 		b.ReportMetric(out.Metrics["storm/cv"], "storm_cv")

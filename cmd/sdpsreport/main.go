@@ -31,7 +31,7 @@ import (
 
 	"repro/internal/compare"
 	"repro/internal/core"
-	// Registers the grid experiments declared as scenario specs.
+	// Registers the paper's experiments declared as scenario specs.
 	_ "repro/internal/scenario"
 )
 

@@ -314,7 +314,7 @@ func writeExp4(b *strings.Builder, a core.Artifact) {
 	fmt.Fprintf(b, "| spark | %.2f | %.2f | %.2f | 0.53 M/s at 4 nodes, keeps scaling |\n", m["spark/2"]/1e6, m["spark/4"]/1e6, m["spark/8"]/1e6)
 	fmt.Fprintf(b, "| flink | %.2f | %.2f | %.2f | 0.48 M/s, flat |\n", m["flink/2"]/1e6, m["flink/4"]/1e6, m["flink/8"]/1e6)
 	fmt.Fprintf(b, "\nSkewed join: Flink stalls (\"often becomes unresponsive\"): %v; Spark survives with very high latency (measured avg %.1f s).\n\n",
-		m["flink/join_failed"] == 1, m["spark/join_avg_latency"])
+		m["flink/join/failed"] == 1, m["spark/join/avg_latency"])
 }
 
 func writeFigure(b *strings.Builder, title string, note string) {
@@ -324,7 +324,7 @@ func writeFigure(b *strings.Builder, title string, note string) {
 func writeFig7(b *strings.Builder, a core.Artifact) {
 	b.WriteString("## Figure 7 — event vs processing time under unsustainable load\n\n")
 	fmt.Fprintf(b, "Spark at ~1.6× its sustainable rate: event-time latency slope %+0.2f s/s (diverging), processing-time slope %+0.3f s/s (flat).  The paper's coordinated-omission warning reproduces: the SUT-internal view hides the overload entirely.\n\n",
-		a.Metrics["event_slope"], a.Metrics["proc_slope"])
+		a.Metrics["spark/event_slope"], a.Metrics["spark/proc_slope"])
 }
 
 func writeFig8(b *strings.Builder, a core.Artifact) {
@@ -356,7 +356,7 @@ func writeFig10(b *strings.Builder, a core.Artifact) {
 func writeFig11(b *strings.Builder, a core.Artifact) {
 	b.WriteString("## Figure 11 — Spark scheduler delay vs throughput\n\n")
 	fmt.Fprintf(b, "At overload onset the scheduler delay spikes to %.2f s (mean %.2f s) while the pull rate oscillates (CV %.3f): \"whenever there is even a short spike in the input rate, we can observe a similar behavior in the scheduler delay\".\n\n",
-		a.Metrics["sched_delay_max"], a.Metrics["sched_delay_mean"], a.Metrics["throughput_cv"])
+		a.Metrics["spark/scheduler_delay_max"], a.Metrics["spark/scheduler_delay_mean"], a.Metrics["spark/cv"])
 }
 
 func writeAblations(b *strings.Builder, brk, guar, dis core.Artifact) {

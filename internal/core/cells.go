@@ -74,19 +74,6 @@ func decodeCell[T any](raw []byte) (T, error) {
 	return v, nil
 }
 
-// decodeCells decodes a homogeneous slice of cell results.
-func decodeCells[T any](raws [][]byte) ([]T, error) {
-	out := make([]T, len(raws))
-	for i, raw := range raws {
-		v, err := decodeCell[T](raw)
-		if err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // Run executes the experiment in-process: every cell on the worker pool,
 // then assembly.  Equivalent to RunContext with a background context.
 func (e Experiment) Run(o Options) (*Outcome, error) {

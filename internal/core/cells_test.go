@@ -92,12 +92,12 @@ func cheapExperiment(n int, cellErr error) Experiment {
 			return cells
 		},
 		Assemble: func(o Options, raws [][]byte) (*Outcome, error) {
-			rs, err := decodeCells[res](raws)
-			if err != nil {
-				return nil, err
-			}
 			sum := 0.0
-			for _, r := range rs {
+			for _, raw := range raws {
+				r, err := decodeCell[res](raw)
+				if err != nil {
+					return nil, err
+				}
 				sum += float64(r.V)
 			}
 			return &Outcome{Text: "ok\n", Metrics: map[string]float64{"sum": sum}}, nil

@@ -152,14 +152,14 @@ type Experiment struct {
 	Assemble func(o Options, results [][]byte) (*Outcome, error)
 }
 
-// registry holds all experiments, populated by the experiment files' init
-// functions and by internal/scenario's builtin specs via Register.
+// registry holds all experiments, populated by the ablations' init function
+// and by internal/scenario's builtin specs via Register.
 var registry []Experiment
 
-// Register adds an experiment to the registry.  The paper's built-in
-// experiments register themselves from init functions (here and in
-// internal/scenario); additional experiments may be registered before the
-// registry is first consulted.
+// Register adds an experiment to the registry.  The paper's experiments
+// register from internal/scenario's builtin specs and the ablations from
+// this package's init function; additional experiments may be registered
+// before the registry is first consulted.
 func Register(e Experiment) { registry = append(registry, e) }
 
 // Experiments returns all registered experiments sorted by ID in the
@@ -194,9 +194,6 @@ func Lookup(id string) (Experiment, error) {
 	}
 	return Experiment{}, fmt.Errorf("core: unknown experiment %q (run `sdpsbench -list`)", id)
 }
-
-// engineNames is the paper's presentation order for the engine models.
-var engineNames = []string{"storm", "spark", "flink"}
 
 // Engines returns fresh instances of the three engine models in the
 // paper's order.

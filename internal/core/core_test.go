@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,122 +31,6 @@ func TestPaperRates(t *testing.T) {
 	}
 	if _, ok := join["storm/2"]; ok {
 		t.Fatal("storm has no published join rate (naive join aside)")
-	}
-}
-
-func TestExp4Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	out, err := mustRun(t, "exp4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := out.Metrics
-	// Storm and Flink do not scale under skew (flat across sizes).
-	for _, eng := range []string{"storm", "flink"} {
-		r2, r8 := m[eng+"/2"], m[eng+"/8"]
-		if r8 > r2*1.4 || r2 > r8*1.4 {
-			t.Fatalf("%s skew throughput should be flat: %v vs %v", eng, r2, r8)
-		}
-	}
-	// Spark scales and overtakes both on >=4 workers (tree aggregate).
-	if !(m["spark/4"] > m["flink/4"] && m["spark/4"] > m["storm/4"]) {
-		t.Fatalf("spark must win at 4 nodes under skew: spark=%v flink=%v storm=%v",
-			m["spark/4"], m["flink/4"], m["storm/4"])
-	}
-	if m["spark/8"] <= m["spark/4"] {
-		t.Fatal("spark skew throughput should keep scaling")
-	}
-	// Spark is worse than Flink on the small cluster.
-	if m["spark/2"] >= m["flink/2"] {
-		t.Fatalf("spark should lose at 2 nodes under skew: %v vs %v", m["spark/2"], m["flink/2"])
-	}
-	// The skewed join: Flink stalls, Spark survives with high latency.
-	if m["flink/join_failed"] != 1 {
-		t.Fatal("flink skewed join should fail")
-	}
-	if m["spark/join_avg_latency"] < 5 {
-		t.Fatalf("spark skewed join latency should be very high: %v", m["spark/join_avg_latency"])
-	}
-}
-
-func TestFig7Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	out, err := mustRun(t, "fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := out.Metrics
-	if m["sustainable"] != 0 {
-		t.Fatal("fig7's offered rate must be unsustainable")
-	}
-	// Event-time latency diverges, processing-time latency does not:
-	// the coordinated-omission illustration.
-	if m["event_slope"] < 0.05 {
-		t.Fatalf("event-time latency should diverge: slope %v", m["event_slope"])
-	}
-	if m["proc_slope"] > m["event_slope"]/4 {
-		t.Fatalf("processing-time latency should stay flat: %v vs %v",
-			m["proc_slope"], m["event_slope"])
-	}
-}
-
-func TestFig10Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	out, err := mustRun(t, "fig10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := out.Metrics
-	// Figure 10: Flink uses the least CPU (network bound); Storm and
-	// Spark burn ~50% more cycles.
-	if !(m["flink/cpu_mean"] < m["storm/cpu_mean"] && m["flink/cpu_mean"] < m["spark/cpu_mean"]) {
-		t.Fatalf("flink must use the least CPU: flink=%v storm=%v spark=%v",
-			m["flink/cpu_mean"], m["storm/cpu_mean"], m["spark/cpu_mean"])
-	}
-}
-
-func TestExp3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	out, err := mustRun(t, "exp3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := out.Metrics
-	def := m["spark/default/rate"]
-	inv := m["spark/inverse-reduce/rate"]
-	rec := m["spark/recompute/rate"]
-	small := m["spark/smallwindow/rate"]
-	// Caching halves throughput on the large window; the inverse-reduce
-	// fix restores it; recompute is the worst.
-	if def > small*0.65 {
-		t.Fatalf("cached large-window throughput should drop ~2x: %v vs small-window %v", def, small)
-	}
-	if inv < small*0.8 {
-		t.Fatalf("inverse-reduce should restore throughput: %v vs %v", inv, small)
-	}
-	if rec >= def {
-		t.Fatalf("recompute should be the slowest: %v vs default %v", rec, def)
-	}
-	// Latency blow-up for the caching strategy at the half-rate point.
-	if m["spark/default/avg_latency"] < 2*m["spark/inverse-reduce/avg_latency"] {
-		t.Fatalf("caching latency should blow up vs inverse-reduce: %v vs %v",
-			m["spark/default/avg_latency"], m["spark/inverse-reduce/avg_latency"])
-	}
-	// Storm OOMs without spill, survives with it.
-	if m["storm/spill=false/failed"] != 1 || m["storm/spill=true/failed"] != 0 {
-		t.Fatal("storm spill behaviour wrong")
-	}
-	// Flink sails through at the network bound.
-	if m["flink/large/sustainable"] != 1 {
-		t.Fatal("flink must sustain the large window at 1.2M ev/s")
 	}
 }
 
@@ -237,83 +118,5 @@ func TestAblationDisorderShape(t *testing.T) {
 	}
 	if m["slack=4s/avg_latency"] <= m["slack=0s/avg_latency"] {
 		t.Fatal("more slack must mean more latency")
-	}
-}
-
-func TestReplicate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	exp, err := Lookup("fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Replicated(exp, 3).RunContext(context.Background(), Options{Scale: Quick}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := out.Metrics
-	if m["replicas"] != 3 {
-		t.Fatalf("replicas: %v", m["replicas"])
-	}
-	lo, mean, hi := m["event_slope/min"], m["event_slope/mean"], m["event_slope/max"]
-	if !(lo <= mean && mean <= hi) {
-		t.Fatalf("stat ordering broken: min %v mean %v max %v", lo, mean, hi)
-	}
-	// The overload divergence must be robust across seeds, not a
-	// single-seed artifact.
-	if lo < 0.05 {
-		t.Fatalf("event-time divergence should hold for every seed: min %v", lo)
-	}
-	if out.Text == "" {
-		t.Fatal("replication must render")
-	}
-}
-
-// TestReplicateGoldenText pins the cell-level replication refactor against
-// the output of the pre-refactor, replica-at-a-time implementation
-// (testdata/fig7-replicate3.golden.txt): same seeds, same aggregation,
-// same rendering.
-func TestReplicateGoldenText(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "fig7-replicate3.golden.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := Lookup("fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Replicated(exp, 3).RunContext(context.Background(), Options{Seed: 42, Scale: Quick}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The golden file was captured from sdpsbench's text output, whose
-	// Println appended one newline beyond the outcome text's own.
-	if out.Text != strings.TrimSuffix(string(want), "\n") {
-		t.Fatalf("replication text drifted from golden:\n got:\n%s\nwant:\n%s", out.Text, want)
-	}
-}
-
-// TestReplicatedExperimentCells pins the per-seed cell expansion: one cell
-// per (seed, base cell), base seed substituted per replica, and the
-// assembled artefact carrying the spread table.
-func TestReplicatedExperimentCells(t *testing.T) {
-	exp, err := Lookup("fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rexp := Replicated(exp, 3)
-	cells := rexp.Cells(Options{Seed: 42})
-	wantIDs := []string{"seed42/spark/overload", "seed7961/spark/overload", "seed15880/spark/overload"}
-	if len(cells) != len(wantIDs) {
-		t.Fatalf("%d cells, want %d", len(cells), len(wantIDs))
-	}
-	for i, c := range cells {
-		if c.ID != wantIDs[i] {
-			t.Fatalf("cell %d = %q, want %q", i, c.ID, wantIDs[i])
-		}
 	}
 }

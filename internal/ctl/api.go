@@ -38,7 +38,7 @@ const (
 	maxJSONBody = 1 << 20
 	// maxResultBody caps a completed cell's canonical result.  The largest
 	// any builtin experiment or shipped scenario produces is fig10's flink
-	// time series: 24,229 B at quick scale and 78,141 B at full scale
+	// per-node series: 24,287 B at quick scale and 78,199 B at full scale
 	// (seed 42).  Every other quick-scale cell is under 5 KB.  The cap
 	// leaves more than 50x headroom.
 	maxResultBody = 4 << 20

@@ -438,6 +438,29 @@ func TestJournalCrashRecoveryProperty(t *testing.T) {
 // result on disk: the restarted coordinator must quarantine the bad object
 // and recompute only that cell, not fail the run or re-run healthy cells.
 func TestResumeQuarantinesCorruptResult(t *testing.T) {
+	checkResumeQuarantines(t, func(path string) error {
+		return os.WriteFile(path, []byte("garbage, not the result"), 0o644)
+	})
+}
+
+// TestResumeQuarantinesTruncatedResult is the same recovery for an object
+// file cut short on disk: the prefix fails its hash like any corruption.
+func TestResumeQuarantinesTruncatedResult(t *testing.T) {
+	checkResumeQuarantines(t, func(path string) error {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		return os.Truncate(path, fi.Size()/2)
+	})
+}
+
+// checkResumeQuarantines completes two cells of a four-cell run, damages
+// the first one's stored object with corrupt, restarts the coordinator and
+// checks that resume quarantines the object, recomputes only that cell and
+// still produces the byte-identical artifact.
+func checkResumeQuarantines(t *testing.T, corrupt func(path string) error) {
+	t.Helper()
 	var (
 		mu        sync.Mutex
 		execs     = map[string]int{}
@@ -495,8 +518,11 @@ func TestResumeQuarantinesCorruptResult(t *testing.T) {
 		t.Fatalf("cell 0 should be done: %+v", m.Cells)
 	}
 	objPath := filepath.Join(store.Dir(), "objects", sha[:2], sha[2:])
-	if err := os.WriteFile(objPath, []byte("garbage, not the result"), 0o644); err != nil {
+	if err := corrupt(objPath); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := store.GetObject(sha); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged object read: %v, want ErrCorrupt", err)
 	}
 
 	recovered.Store(true)

@@ -61,6 +61,32 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestStoreDetectsTruncatedObject covers an object file cut short after
+// its rename into objects/ (a disk-full or torn write the rename cannot
+// undo): a prefix of the bytes no longer hashes to the address, so the
+// read must be ErrCorrupt, never a short result.
+func TestStoreDetectsTruncatedObject(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte(`{"Cell":{"Engine":"storm","Workers":2},"Rate":400000}`)
+	sha, err := s.PutObject(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "objects", sha[:2], sha[2:])
+	for _, size := range []int64{int64(len(data)) - 1, int64(len(data)) / 2, 0} {
+		if err := os.Truncate(path, size); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.GetObject(sha); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("object truncated to %d bytes: got %q, %v; want ErrCorrupt", size, got, err)
+		}
+	}
+}
+
 func TestStoreRunManifestsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/engine"
+	"repro/internal/engine/storm"
 	"repro/internal/fault"
 	"repro/internal/generator"
 	"repro/internal/metrics"
@@ -231,14 +232,27 @@ type latencyResult struct {
 }
 
 // seriesResult carries a point's coordinates plus whichever series its
-// measure collects.
+// measure collects, and the run's Definition 5 verdict.
 type seriesResult struct {
-	Engine     string
-	Workers    int
-	Pct        int
-	Event      *metrics.Series `json:",omitempty"`
-	Proc       *metrics.Series `json:",omitempty"`
-	Throughput *metrics.Series `json:",omitempty"`
+	Engine      string
+	Workers     int
+	Pct         int
+	Event       *metrics.Series   `json:",omitempty"`
+	Proc        *metrics.Series   `json:",omitempty"`
+	Throughput  *metrics.Series   `json:",omitempty"`
+	CPU         []*metrics.Series `json:",omitempty"`
+	Net         []*metrics.Series `json:",omitempty"`
+	Extra       *metrics.Series   `json:",omitempty"`
+	Sustainable bool              `json:",omitempty"`
+}
+
+// outcomeResult is one fixed-rate run of the outcome measure: a failed
+// run is reported, not raised.
+type outcomeResult struct {
+	Failed      bool
+	FailReason  string `json:",omitempty"`
+	Sustainable bool
+	AvgLatency  float64
 }
 
 // recoveryResult carries a point's throughput and queue-depth series under
@@ -288,6 +302,10 @@ type cellIdentity struct {
 	// builds.
 	Rescale []RescaleStep    `json:",omitempty"`
 	Domains map[string][]int `json:",omitempty"`
+	// Spill and Extra change what a cell computes or returns; omitempty
+	// keeps every cell without them on its existing key.
+	Spill bool   `json:",omitempty"`
+	Extra string `json:",omitempty"`
 }
 
 func contentKey(id cellIdentity) string {
@@ -350,11 +368,18 @@ func gridCells(s Spec, o core.Options) []core.Cell {
 		// common.
 		idLoad := sw.Load
 		idLoad.Pcts = nil
+		// A bisecting point computes the same search under any measure,
+		// so it shares the sustainable measure's key (and cached result).
+		measure := s.Measure.Kind
+		if bisects(s.Measure, sw) {
+			measure = MeasureSustainable
+		}
 		ident := cellIdentity{
-			Measure: s.Measure.Kind, Engine: p.engine, Workers: p.workers,
+			Measure: measure, Engine: p.engine, Workers: p.workers,
 			Query: q, Load: idLoad, Slack: sw.WatermarkSlack, Pct: p.pct,
 			Seed: o.Seed, Scale: o.Scale.String(), Faults: s.Faults,
 			Rescale: s.Rescale, Domains: s.Domains,
+			Spill: sw.SpillableState, Extra: s.Measure.Extra,
 		}
 		// The warm key drops the seed and scale: a sustainable search for
 		// the same deployment under a different seed (replication) or
@@ -380,13 +405,21 @@ func gridCells(s Spec, o core.Options) []core.Cell {
 	return cells
 }
 
+// engineFor builds the sweep's deployment of the named engine.
+func engineFor(sw Sweep, name string) (engine.Engine, error) {
+	if sw.SpillableState { // validated storm-only
+		return storm.New(storm.Options{SpillableState: true}), nil
+	}
+	return core.EngineByName(name)
+}
+
 // runPoint executes one grid point under the spec's measurement kind.
 func runPoint(ctx context.Context, s Spec, sw Sweep, p point, q workload.Query, join bool, warm string, o core.Options) (any, error) {
-	eng, err := core.EngineByName(p.engine)
+	eng, err := engineFor(sw, p.engine)
 	if err != nil {
 		return nil, err
 	}
-	if s.Measure.Kind == MeasureSustainable {
+	if bisects(s.Measure, sw) {
 		cfg := driver.Config{Seed: o.Seed, Workers: p.workers, Query: q}
 		applyInputShape(&cfg, sw)
 		scfg := o.SearchConfig()
@@ -435,20 +468,32 @@ func runPoint(ctx context.Context, s Spec, sw Sweep, p point, q workload.Query, 
 	case MeasureLatency:
 		return latencyResult{Engine: p.engine, Workers: p.workers, Pct: p.pct,
 			Summary: res.EventLatency.Summarize()}, nil
-	case MeasureLatencySeries:
-		return seriesResult{Engine: p.engine, Workers: p.workers, Pct: p.pct,
-			Event: res.EventLatencySeries}, nil
-	case MeasureLatencyPairSeries:
-		return seriesResult{Engine: p.engine, Workers: p.workers, Pct: p.pct,
-			Event: res.EventLatencySeries, Proc: res.ProcLatencySeries}, nil
-	case MeasureThroughputSeries:
-		return seriesResult{Engine: p.engine, Workers: p.workers, Pct: p.pct,
-			Throughput: res.ThroughputSeries}, nil
 	case MeasureRecoverySeries:
 		return recoveryResult{Engine: p.engine, Workers: p.workers, Pct: p.pct,
 			Throughput: res.ThroughputSeries, Depth: res.QueueDepthSeries}, nil
+	case MeasureOutcome:
+		return outcomeResult{Failed: res.Failed, FailReason: res.FailReason,
+			Sustainable: res.Verdict.Sustainable, AvgLatency: res.EventLatency.Mean().Seconds()}, nil
 	}
-	return nil, fmt.Errorf("scenario: unhandled measure kind %q", s.Measure.Kind)
+	r := seriesResult{Engine: p.engine, Workers: p.workers, Pct: p.pct, Sustainable: res.Verdict.Sustainable}
+	switch s.Measure.Kind {
+	case MeasureLatencySeries:
+		r.Event = res.EventLatencySeries
+	case MeasureLatencyPairSeries:
+		r.Event, r.Proc = res.EventLatencySeries, res.ProcLatencySeries
+	case MeasureThroughputSeries:
+		r.Throughput = res.ThroughputSeries
+	case MeasureResourceSeries:
+		r.CPU, r.Net = res.CPU, res.Net
+	default:
+		return nil, fmt.Errorf("scenario: unhandled measure kind %q", s.Measure.Kind)
+	}
+	if name := s.Measure.Extra; name != "" {
+		if r.Extra = res.Extra[name]; r.Extra == nil {
+			return nil, fmt.Errorf("scenario: engine %s has no extra series %q", p.engine, name)
+		}
+	}
+	return r, nil
 }
 
 // asideCells appends the Storm naive-join aside: the paper's Experiment 2
@@ -546,6 +591,8 @@ func assemble(s Spec, o core.Options, raws [][]byte) (*core.Outcome, error) {
 		return assembleLatency(s, pts, heading, raws)
 	case MeasureRecoverySeries:
 		return assembleRecovery(s, o, pts, heading, raws)
+	case MeasureOutcome:
+		return assembleOutcome(s, pts, heading, raws)
 	default:
 		return assembleSeries(s, o, pts, heading, raws)
 	}
@@ -620,10 +667,24 @@ func statOf(stat string, series *metrics.Series, o core.Options) float64 {
 		return series.Min()
 	case "cv":
 		return series.Tail(o.RunFor() / 4).CoefficientOfVariation()
+	case "slope":
+		return series.Slope()
 	}
 	return 0
 }
 
+// flag renders a boolean as a 1/0 metric.
+func flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// assembleSeries renders the series kinds: each point's panels, and per
+// series the measure's stats as {base}/{role}{stat}, where role names the
+// series when a point renders several ("event_", "proc_", "cpu_", "net_",
+// "<extra>_") and is empty otherwise.
 func assembleSeries(s Spec, o core.Options, pts []point, heading string, raws [][]byte) (*core.Outcome, error) {
 	o = o.WithDefaults()
 	stats := seriesStats(s.Measure)
@@ -636,24 +697,44 @@ func assembleSeries(s Spec, o core.Options, pts []point, heading string, raws []
 		}
 		label := labelFor(s, p)
 		base := metricBase(s, p)
+		add := func(title, unit, role string, sr *metrics.Series) {
+			panels = append(panels, report.FigurePanel{Title: title, Series: sr, Unit: unit})
+			for _, st := range stats {
+				metricsOut[base+"/"+role+st] = statOf(st, sr, o)
+			}
+		}
+		// perNode renders one panel per node and emits each stat as its
+		// mean over the nodes.
+		perNode := func(what, unit, role string, series []*metrics.Series) {
+			sums := make([]float64, len(stats))
+			for n, sr := range series {
+				panels = append(panels, report.FigurePanel{
+					Title: fmt.Sprintf("%s node-%d %s", label, n+1, what), Series: sr, Unit: unit})
+				for j, st := range stats {
+					sums[j] += statOf(st, sr, o)
+				}
+			}
+			for j, st := range stats {
+				metricsOut[base+"/"+role+st] = sums[j] / float64(len(series))
+			}
+		}
 		switch s.Measure.Kind {
 		case MeasureLatencyPairSeries:
-			panels = append(panels,
-				report.FigurePanel{Title: label + " event-time", Series: r.Event, Unit: "s"},
-				report.FigurePanel{Title: label + " processing-time", Series: r.Proc, Unit: "s"},
-			)
-			metricsOut[base+"/event_mean"] = r.Event.Mean()
-			metricsOut[base+"/proc_mean"] = r.Proc.Mean()
+			add(label+" event-time", "s", "event_", r.Event)
+			add(label+" processing-time", "s", "proc_", r.Proc)
 		case MeasureThroughputSeries:
-			panels = append(panels, report.FigurePanel{Title: label, Series: r.Throughput, Unit: " ev/s"})
-			for _, st := range stats {
-				metricsOut[base+"/"+st] = statOf(st, r.Throughput, o)
-			}
+			add(label, " ev/s", "", r.Throughput)
+		case MeasureResourceSeries:
+			perNode("CPU load", "%", "cpu_", r.CPU)
+			perNode("network", "MB", "net_", r.Net)
 		default: // MeasureLatencySeries
-			panels = append(panels, report.FigurePanel{Title: label, Series: r.Event, Unit: "s"})
-			for _, st := range stats {
-				metricsOut[base+"/"+st] = statOf(st, r.Event, o)
-			}
+			add(label, "s", "", r.Event)
+		}
+		if r.Extra != nil {
+			add(label+" "+s.Measure.Extra, "s", s.Measure.Extra+"_", r.Extra)
+		}
+		if s.Measure.Verdict {
+			metricsOut[base+"/sustainable"] = flag(r.Sustainable)
 		}
 	}
 	return &core.Outcome{
@@ -662,6 +743,40 @@ func assembleSeries(s Spec, o core.Options, pts []point, heading string, raws []
 		Panels:  panels,
 		Metrics: metricsOut,
 	}, nil
+}
+
+// assembleOutcome renders the outcome measure: one line per point.  A
+// bisecting point emits its rate under {base}; a fixed-rate point emits
+// {base}/failed, /sustainable and /avg_latency.
+func assembleOutcome(s Spec, pts []point, heading string, raws [][]byte) (*core.Outcome, error) {
+	var b strings.Builder
+	metricsOut := map[string]float64{}
+	b.WriteString(heading + "\n\n")
+	for i, p := range pts {
+		label, base := labelFor(s, p), metricBase(s, p)
+		if bisects(s.Measure, s.Sweeps[p.sweep]) {
+			r, err := decode[searchResult](raws[i])
+			if err != nil {
+				return nil, err
+			}
+			metricsOut[base] = r.Rate
+			fmt.Fprintf(&b, "%s: sustainable %.2f M/s\n", label, r.Rate/1e6)
+			continue
+		}
+		r, err := decode[outcomeResult](raws[i])
+		if err != nil {
+			return nil, err
+		}
+		metricsOut[base+"/failed"] = flag(r.Failed)
+		metricsOut[base+"/sustainable"] = flag(r.Sustainable)
+		metricsOut[base+"/avg_latency"] = r.AvgLatency
+		if r.Failed {
+			fmt.Fprintf(&b, "%s: FAILED: %s\n", label, r.FailReason)
+		} else {
+			fmt.Fprintf(&b, "%s: sustainable=%v, avg event-time latency %.1f s\n", label, r.Sustainable, r.AvgLatency)
+		}
+	}
+	return &core.Outcome{Text: b.String(), Metrics: metricsOut}, nil
 }
 
 // recoveryModelFor returns the recovery cost model of the named engine —

@@ -2,16 +2,19 @@ package scenario
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every table and figure of the evaluation must be registered —
-	// the grid experiments through the builtin specs here, the irregular
-	// ones through internal/core's own init functions.
+	// Every table, figure and experiment of the evaluation must be
+	// registered through the builtin specs here; the ablations through
+	// internal/core's own init functions.
 	want := []string{
 		"table1", "table2", "table3", "table4",
 		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
@@ -66,8 +69,23 @@ func TestBuiltinCellEnumeration(t *testing.T) {
 			"agg/storm", "agg/spark", "agg/flink",
 			"join/spark", "join/flink",
 		},
-		"fig8": {"storm", "spark", "flink"},
-		"fig9": {"storm", "spark", "flink"},
+		"fig8":  {"storm", "spark", "flink"},
+		"fig9":  {"storm", "spark", "flink"},
+		"fig7":  {"spark"},
+		"fig10": {"storm", "spark", "flink"},
+		"fig11": {"spark"},
+		"exp3": {
+			"rate/default/spark", "latency/default/spark",
+			"rate/recompute/spark", "latency/recompute/spark",
+			"rate/inverse-reduce/spark", "latency/inverse-reduce/spark",
+			"rate/smallwindow/spark", "spill=false/storm", "spill=true/storm", "large/flink",
+		},
+		"exp4": {
+			"agg/storm/2", "agg/spark/2", "agg/flink/2",
+			"agg/storm/4", "agg/spark/4", "agg/flink/4",
+			"agg/storm/8", "agg/spark/8", "agg/flink/8",
+			"join/spark", "join/flink",
+		},
 	}
 	for _, s := range Builtin() {
 		ids, ok := want[s.Name]
@@ -343,6 +361,99 @@ func TestScenarioReplicationEndToEnd(t *testing.T) {
 	for _, k := range []string{"flink/2/100/avg/mean", "flink/2/100/avg/spread"} {
 		if _, ok := out.Metrics[k]; !ok {
 			t.Fatalf("flattened metric %s missing: %v", k, out.Metrics)
+		}
+	}
+}
+
+// TestSeriesRolesPrefixMetricKeys pins the metric keys of the series kinds
+// that render several series per point: each stat is prefixed with the
+// series' role, per-node resource stats are means over the nodes, and the
+// verdict and extra series only appear when the measure asks for them.
+func TestSeriesRolesPrefixMetricKeys(t *testing.T) {
+	ser := func(vs ...float64) *metrics.Series {
+		s := &metrics.Series{}
+		for i, v := range vs {
+			s.Add(time.Duration(i)*time.Second, v)
+		}
+		return s
+	}
+	mk := func(m Measure) Spec {
+		s := validSpec()
+		s.Measure = m
+		return s
+	}
+	cases := []struct {
+		spec   Spec
+		result seriesResult
+		want   map[string]float64
+		panels int
+	}{
+		{mk(Measure{Kind: MeasureLatencyPairSeries}),
+			seriesResult{Event: ser(1, 3), Proc: ser(2, 2), Sustainable: true},
+			map[string]float64{"flink/event_mean": 2, "flink/proc_mean": 2}, 2},
+		{mk(Measure{Kind: MeasureLatencyPairSeries, SeriesStats: []string{"slope"}, Verdict: true}),
+			seriesResult{Event: ser(1, 3), Proc: ser(2, 2)},
+			map[string]float64{"flink/event_slope": 2, "flink/proc_slope": 0, "flink/sustainable": 0}, 2},
+		{mk(Measure{Kind: MeasureResourceSeries}),
+			seriesResult{CPU: []*metrics.Series{ser(10, 30), ser(40, 40)}, Net: []*metrics.Series{ser(1), ser(3)}},
+			map[string]float64{"flink/cpu_mean": 30, "flink/net_mean": 2}, 4},
+		{mk(Measure{Kind: MeasureThroughputSeries, SeriesStats: []string{"max"}, Extra: "scheduler_delay"}),
+			seriesResult{Throughput: ser(5, 7), Extra: ser(0.5, 0.25)},
+			map[string]float64{"flink/max": 7, "flink/scheduler_delay_max": 0.5}, 2},
+	}
+	for _, tc := range cases {
+		raw, err := core.EncodeCellResult(tc.result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := assemble(tc.spec, core.Options{Seed: 42}, [][]byte{raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Panels) != tc.panels {
+			t.Fatalf("%s: %d panels, want %d", tc.spec.Measure.Kind, len(out.Panels), tc.panels)
+		}
+		if !reflect.DeepEqual(out.Metrics, tc.want) {
+			t.Fatalf("%s: metrics %v, want %v", tc.spec.Measure.Kind, out.Metrics, tc.want)
+		}
+	}
+}
+
+// TestOutcomeReportsFailedRuns pins the outcome measure's rendering: a
+// bisecting point reports its rate under its base key, a failed fixed-rate
+// run is a result with its reason in the text, not an assembly error.
+func TestOutcomeReportsFailedRuns(t *testing.T) {
+	s := validSpec()
+	s.Measure = Measure{Kind: MeasureOutcome}
+	bisect := s.Sweeps[0]
+	bisect.Load = Load{}
+	bisect.Prefix, bisect.MetricKey = "rate", "{engine}/rate"
+	s.Sweeps = append(s.Sweeps, bisect)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := core.EncodeCellResult(outcomeResult{Failed: true, FailReason: "out of heap", AvgLatency: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	search, err := core.EncodeCellResult(searchResult{Rate: 250000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := assemble(s, core.Options{Seed: 42}, [][]byte{run, search})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"flink/failed": 1, "flink/sustainable": 0, "flink/avg_latency": 1.5,
+		"flink/rate": 250000,
+	}
+	if !reflect.DeepEqual(out.Metrics, want) {
+		t.Fatalf("metrics %v, want %v", out.Metrics, want)
+	}
+	for _, line := range []string{"flink: FAILED: out of heap", "rate/flink: sustainable 0.25 M/s"} {
+		if !strings.Contains(out.Text, line) {
+			t.Fatalf("%q missing from:\n%s", line, out.Text)
 		}
 	}
 }

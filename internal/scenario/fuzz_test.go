@@ -23,6 +23,23 @@ func FuzzSpecJSON(f *testing.F) {
 			`{"kind":"checkpoint-restore","worker":1,"at":"50s","restart_after":"5s"}],` +
 			`"sweeps":[{"engines":["storm","spark"],"workers":[4],"query":{"kind":"aggregation"},` +
 			`"load":{"kind":"constant","rate_ev_per_sec":550000}}]}`,
+		`{"name":"p","seeds":1,"measure":{"kind":"latency-pair-series","series_stats":["slope","mean"],"verdict":true},` +
+			`"sweeps":[{"engines":["spark"],"workers":[2],"query":{"kind":"aggregation"},` +
+			`"load":{"kind":"constant","rate_ev_per_sec":600000}}]}`,
+		`{"name":"e","seeds":1,"measure":{"kind":"throughput-series","extra":"scheduler_delay"},` +
+			`"sweeps":[{"engines":["spark"],"workers":[4],"query":{"kind":"aggregation"},` +
+			`"load":{"kind":"constant","rate_ev_per_sec":700000}}]}`,
+		`{"name":"n","seeds":1,"measure":{"kind":"resource-series","series_stats":["max"]},` +
+			`"sweeps":[{"engines":["flink"],"workers":[4],"query":{"kind":"aggregation"},` +
+			`"load":{"kind":"table-rates","pcts":[100]}}]}`,
+		`{"name":"o","seeds":1,"measure":{"kind":"outcome"},"sweeps":[` +
+			`{"prefix":"rate","engines":["spark"],"workers":[2],"query":{"kind":"aggregation","strategy":"recompute"},` +
+			`"load":{"keys":{"kind":"single"}}},` +
+			`{"prefix":"run","engines":["storm"],"workers":[2],"spillable_state":true,` +
+			`"query":{"kind":"aggregation","window_size":"60s","window_slide":"60s"},` +
+			`"load":{"kind":"constant","rate_ev_per_sec":400000}}]}`,
+		`{"name":"bad-spill","seeds":1,"measure":{"kind":"outcome"},` +
+			`"sweeps":[{"engines":["flink"],"workers":[2],"spillable_state":true,"query":{"kind":"aggregation"}}]}`,
 		`{"faults":[{"kind":"partition","groups":[[0,0]]}]}`,
 		`{"name":"bad","measure":{"kind":"meteor"}}`,
 		`{"name":"neg","seeds":-1}`,

@@ -2,20 +2,24 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// The golden artifacts under testdata/golden/ were produced by the
-// pre-refactor, hand-written experiment code (`sdpsbench -exp <id>
-// -scale quick -seed 42 -json`).  The specs in builtin.go must reproduce
-// them byte for byte: same cell enumeration, same driver configurations,
-// same assembly rendering.  Any intentional change to these experiments
-// must regenerate the files and say so.
+// The golden artifacts under testdata/golden/ are `sdpsbench -exp <id>
+// -scale quick -seed 42 -json`.  The grids' goldens were produced by the
+// hand-written experiment code they replaced; fig7, fig10, fig11, exp3
+// and exp4 by their first compiled specs, whose metric values and series
+// equal the hand-written code's bit for bit.  The specs in builtin.go must
+// reproduce them byte for byte: same cell enumeration, same driver
+// configurations, same assembly rendering.  Any intentional change to
+// these experiments must regenerate the files and say so.
 
 var (
 	runMu    sync.Mutex
@@ -29,21 +33,46 @@ var (
 // shape tests share one simulation.
 func runOnce(t *testing.T, id string) *core.Outcome {
 	t.Helper()
+	return runReplicatedOnce(t, id, 1)
+}
+
+// runReplicatedOnce is runOnce for the experiment replicated over n seeds
+// with core.Replicated (n = 1 runs it plainly).
+func runReplicatedOnce(t *testing.T, id string, n int) *core.Outcome {
+	t.Helper()
 	runMu.Lock()
 	defer runMu.Unlock()
-	if out, ok := runCache[id]; ok {
+	key := fmt.Sprintf("%s x%d", id, n)
+	if out, ok := runCache[key]; ok {
 		return out
 	}
 	e, err := core.Lookup(id)
 	if err != nil {
 		t.Fatalf("lookup %s: %v", id, err)
 	}
+	if n > 1 {
+		e = core.Replicated(e, n)
+	}
 	out, err := e.Run(goldenOpts)
 	if err != nil {
-		t.Fatalf("run %s: %v", id, err)
+		t.Fatalf("run %s: %v", key, err)
 	}
-	runCache[id] = out
+	runCache[key] = out
 	return out
+}
+
+// shapeMetrics runs the experiment once (see runOnce), checks the outcome
+// envelope and returns its metrics.
+func shapeMetrics(t *testing.T, id string) map[string]float64 {
+	t.Helper()
+	out := runOnce(t, id)
+	if strings.TrimSpace(out.Text) == "" {
+		t.Fatalf("%s produced no text artefact", id)
+	}
+	if len(out.Metrics) == 0 {
+		t.Fatalf("%s produced no metrics", id)
+	}
+	return out.Metrics
 }
 
 func TestGoldenArtifactsByteIdentical(t *testing.T) {
@@ -253,5 +282,169 @@ func TestFig9Shape(t *testing.T) {
 	if !(m["flink/cv"] < m["storm/cv"] && m["flink/cv"] < m["spark/cv"]) {
 		t.Fatalf("flink must have the smoothest pull rate: flink=%v storm=%v spark=%v",
 			m["flink/cv"], m["storm/cv"], m["spark/cv"])
+	}
+}
+
+func TestExp4Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	m := shapeMetrics(t, "exp4")
+	// Storm and Flink do not scale under skew (flat across sizes).
+	for _, eng := range []string{"storm", "flink"} {
+		r2, r8 := m[eng+"/2"], m[eng+"/8"]
+		if r8 > r2*1.4 || r2 > r8*1.4 {
+			t.Fatalf("%s skew throughput should be flat: %v vs %v", eng, r2, r8)
+		}
+	}
+	// Spark scales and overtakes both on >=4 workers (tree aggregate).
+	if !(m["spark/4"] > m["flink/4"] && m["spark/4"] > m["storm/4"]) {
+		t.Fatalf("spark must win at 4 nodes under skew: spark=%v flink=%v storm=%v",
+			m["spark/4"], m["flink/4"], m["storm/4"])
+	}
+	if m["spark/8"] <= m["spark/4"] {
+		t.Fatal("spark skew throughput should keep scaling")
+	}
+	// Spark is worse than Flink on the small cluster.
+	if m["spark/2"] >= m["flink/2"] {
+		t.Fatalf("spark should lose at 2 nodes under skew: %v vs %v", m["spark/2"], m["flink/2"])
+	}
+	// The skewed join: Flink stalls, Spark survives with high latency.
+	if m["flink/join/failed"] != 1 {
+		t.Fatal("flink skewed join should fail")
+	}
+	if m["spark/join/avg_latency"] < 5 {
+		t.Fatalf("spark skewed join latency should be very high: %v", m["spark/join/avg_latency"])
+	}
+}
+
+func TestFig7Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	m := shapeMetrics(t, "fig7")
+	if m["spark/sustainable"] != 0 {
+		t.Fatal("fig7's offered rate must be unsustainable")
+	}
+	// Event-time latency diverges, processing-time latency does not:
+	// the coordinated-omission illustration.
+	if m["spark/event_slope"] < 0.05 {
+		t.Fatalf("event-time latency should diverge: slope %v", m["spark/event_slope"])
+	}
+	if m["spark/proc_slope"] > m["spark/event_slope"]/4 {
+		t.Fatalf("processing-time latency should stay flat: %v vs %v",
+			m["spark/proc_slope"], m["spark/event_slope"])
+	}
+}
+
+func TestFig10Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	m := shapeMetrics(t, "fig10")
+	// Figure 10: Flink uses the least CPU (network bound); Storm and
+	// Spark burn ~50% more cycles.
+	if !(m["flink/cpu_mean"] < m["storm/cpu_mean"] && m["flink/cpu_mean"] < m["spark/cpu_mean"]) {
+		t.Fatalf("flink must use the least CPU: flink=%v storm=%v spark=%v",
+			m["flink/cpu_mean"], m["storm/cpu_mean"], m["spark/cpu_mean"])
+	}
+}
+
+func TestExp3Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	m := shapeMetrics(t, "exp3")
+	def := m["spark/default/rate"]
+	inv := m["spark/inverse-reduce/rate"]
+	rec := m["spark/recompute/rate"]
+	small := m["spark/smallwindow/rate"]
+	// Caching halves throughput on the large window; the inverse-reduce
+	// fix restores it; recompute is the worst.
+	if def > small*0.65 {
+		t.Fatalf("cached large-window throughput should drop ~2x: %v vs small-window %v", def, small)
+	}
+	if inv < small*0.8 {
+		t.Fatalf("inverse-reduce should restore throughput: %v vs %v", inv, small)
+	}
+	if rec >= def {
+		t.Fatalf("recompute should be the slowest: %v vs default %v", rec, def)
+	}
+	// Latency blow-up for the caching strategy at the half-rate point.
+	if m["spark/default/avg_latency"] < 2*m["spark/inverse-reduce/avg_latency"] {
+		t.Fatalf("caching latency should blow up vs inverse-reduce: %v vs %v",
+			m["spark/default/avg_latency"], m["spark/inverse-reduce/avg_latency"])
+	}
+	// Storm OOMs without spill, survives with it.
+	if m["storm/spill=false/failed"] != 1 || m["storm/spill=true/failed"] != 0 {
+		t.Fatal("storm spill behaviour wrong")
+	}
+	// Flink sails through at the network bound.
+	if m["flink/large/sustainable"] != 1 {
+		t.Fatal("flink must sustain the large window at 1.2M ev/s")
+	}
+}
+
+func TestReplicate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	out := runReplicatedOnce(t, "fig7", 3)
+	m := out.Metrics
+	if m["replicas"] != 3 {
+		t.Fatalf("replicas: %v", m["replicas"])
+	}
+	lo, mean, hi := m["spark/event_slope/min"], m["spark/event_slope/mean"], m["spark/event_slope/max"]
+	if !(lo <= mean && mean <= hi) {
+		t.Fatalf("stat ordering broken: min %v mean %v max %v", lo, mean, hi)
+	}
+	// The overload divergence must be robust across seeds, not a
+	// single-seed artifact.
+	if lo < 0.05 {
+		t.Fatalf("event-time divergence should hold for every seed: min %v", lo)
+	}
+	if out.Text == "" {
+		t.Fatal("replication must render")
+	}
+}
+
+// TestReplicateGoldenText pins the cell-level replication against the
+// output of the original replica-at-a-time implementation
+// (testdata/fig7-replicate3.golden.txt): same seeds, same aggregation,
+// same rendering.  Only the metric-key column changed since, when fig7's
+// keys gained their cell's "spark/" base.
+func TestReplicateGoldenText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "fig7-replicate3.golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runReplicatedOnce(t, "fig7", 3)
+	// The golden file was captured from sdpsbench's text output, whose
+	// Println appended one newline beyond the outcome text's own.
+	if out.Text != strings.TrimSuffix(string(want), "\n") {
+		t.Fatalf("replication text drifted from golden:\n got:\n%s\nwant:\n%s", out.Text, want)
+	}
+}
+
+// TestReplicatedExperimentCells pins the per-seed cell expansion: one cell
+// per (seed, base cell), base seed substituted per replica.
+func TestReplicatedExperimentCells(t *testing.T) {
+	exp, err := core.Lookup("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rexp := core.Replicated(exp, 3)
+	cells := rexp.Cells(core.Options{Seed: 42})
+	wantIDs := []string{"seed42/spark", "seed7961/spark", "seed15880/spark"}
+	if len(cells) != len(wantIDs) {
+		t.Fatalf("%d cells, want %d", len(cells), len(wantIDs))
+	}
+	for i, c := range cells {
+		if c.ID != wantIDs[i] {
+			t.Fatalf("cell %d = %q, want %q", i, c.ID, wantIDs[i])
+		}
 	}
 }

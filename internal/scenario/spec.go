@@ -6,8 +6,8 @@
 // deterministic cell/assembly model (core.Experiment) that the local runner
 // and the distributed controller already share.
 //
-// The paper's regular evaluation grids (Tables I-IV, Figures 4/5/6/8/9)
-// are themselves Spec values (builtin.go) registered through this path;
+// The paper's evaluation (Tables I-IV, Figures 4-11, Experiments 3-4) is
+// itself a set of Spec values (builtin.go) registered through this path;
 // user-written specs load from JSON files (`sdpsbench -scenario f.json`)
 // or travel inside a ctl.RunSpec over the controller wire format, and
 // produce artifacts byte-identical to a local run of the same spec.  See
@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -133,14 +134,26 @@ const (
 	// schedule and renders throughput + queue-depth panels per grid
 	// point, with per-fault dip and recovery-latency metrics.
 	MeasureRecoverySeries = "recovery-series"
+	// MeasureResourceSeries renders every node's CPU-load and network
+	// panels per grid point (Figure 10's resource usage).
+	MeasureResourceSeries = "resource-series"
+	// MeasureOutcome reports one line per grid point: a sweep without a
+	// load bisects its sustainable rate, a sweep with one runs at that
+	// load and reports the run's outcome — failed flag and reason,
+	// Definition 5 verdict, mean event-time latency.  A failed run is a
+	// result here, not an error.
+	MeasureOutcome = "outcome"
 )
 
 // measureKinds lists the valid Measure.Kind values.
 var measureKinds = []string{
 	MeasureSustainable, MeasureLatency, MeasureLatencySeries,
 	MeasureLatencyPairSeries, MeasureThroughputSeries,
-	MeasureRecoverySeries,
+	MeasureRecoverySeries, MeasureResourceSeries, MeasureOutcome,
 }
+
+// seriesStatNames lists the valid Measure.SeriesStats values.
+var seriesStatNames = []string{"mean", "max", "min", "cv", "slope"}
 
 // AsideStormNaiveJoin is the one recognised Measure.Aside value: the
 // Storm naive-join aside of Table III (a 2-node bisection plus a 4-node
@@ -152,9 +165,17 @@ type Measure struct {
 	Kind string `json:"kind"`
 	// SeriesStats are the per-panel statistics emitted as metrics by the
 	// series kinds: "mean", "max", "min", "cv" (cv excludes the warm-up
-	// first quarter of the run).  Default: ["mean"] for latency-series,
-	// ["cv"] for throughput-series.
+	// first quarter of the run), "slope" (least-squares trend per
+	// second).  Default: ["cv"] for throughput-series, ["mean"] for the
+	// others.
 	SeriesStats []string `json:"series_stats,omitempty"`
+	// Extra names an engine-specific series (driver.Result.Extra, e.g.
+	// Spark's "scheduler_delay", in seconds) rendered as one more panel
+	// per grid point of a series measure.
+	Extra string `json:"extra,omitempty"`
+	// Verdict makes a series measure also report each run's Definition 5
+	// verdict as {base}/sustainable (1 or 0).
+	Verdict bool `json:"verdict,omitempty"`
 	// Aside names an irregular cell-group extension appended after the
 	// sweep grids (only AsideStormNaiveJoin, only with
 	// MeasureSustainable).
@@ -254,9 +275,9 @@ type Sweep struct {
 	// "workers,engines,loads".
 	Order string `json:"order,omitempty"`
 	Query Query  `json:"query"`
-	// Load describes the offered-load schedule (ignored by
-	// MeasureSustainable except for Keys/Disorder, which shape the input
-	// during the search probes too).
+	// Load describes the offered-load schedule.  Without a Kind the sweep
+	// bisects its sustainable rate instead (sustainable and outcome
+	// measures); Keys/Disorder still shape the search probes' input.
 	Load Load `json:"load,omitempty"`
 	// Label is the panel-title template for series measures.
 	// Placeholders: {prefix} {engine} {workers} {pct} {query}.
@@ -265,6 +286,9 @@ type Sweep struct {
 	MetricKey string `json:"metric_key,omitempty"`
 	// WatermarkSlack holds windows open for out-of-order input.
 	WatermarkSlack Duration `json:"watermark_slack,omitempty"`
+	// SpillableState deploys Storm with spill-capable window state
+	// instead of heap-bound UDF buffers (storm only).
+	SpillableState bool `json:"spillable_state,omitempty"`
 }
 
 // Query parameterises the benchmark query of a sweep.
@@ -390,17 +414,21 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
+	bisecting := false
+	for _, sw := range s.Sweeps {
+		bisecting = bisecting || bisects(s.Measure, sw)
+	}
 	if len(s.Rescale) > 0 {
-		if s.Measure.Kind == MeasureSustainable {
-			return fmt.Errorf("scenario %s: rescale cannot combine with the %q measure (the bisection assumes a steady worker set)", s.Name, MeasureSustainable)
+		if bisecting {
+			return fmt.Errorf("scenario %s: rescale cannot combine with a bisecting sweep (the bisection assumes a steady worker set)", s.Name)
 		}
 		if err := buildRescale(s.Rescale).Validate(); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
 	if len(s.Faults) > 0 || len(s.Domains) > 0 {
-		if len(s.Faults) > 0 && s.Measure.Kind == MeasureSustainable {
-			return fmt.Errorf("scenario %s: faults cannot combine with the %q measure (the bisection assumes steady capacity)", s.Name, MeasureSustainable)
+		if len(s.Faults) > 0 && bisecting {
+			return fmt.Errorf("scenario %s: faults cannot combine with a bisecting sweep (the bisection assumes steady capacity)", s.Name)
 		}
 		// A fault target must exist on every cluster in the grid, so
 		// validate against the smallest sweep worker count — raised by
@@ -447,47 +475,52 @@ func (s Spec) Validate() error {
 }
 
 func (m Measure) validate(name string) error {
-	ok := false
-	for _, k := range measureKinds {
-		if m.Kind == k {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return fmt.Errorf("scenario %s: unknown measure kind %q (%s)", name, m.Kind, strings.Join(measureKinds, " | "))
+	where := "scenario " + name + " measure"
+	if !slices.Contains(measureKinds, m.Kind) {
+		return fmt.Errorf("%s: unknown measure kind %q (%s)", where, m.Kind, strings.Join(measureKinds, " | "))
 	}
 	for _, st := range m.SeriesStats {
-		switch st {
-		case "mean", "max", "min", "cv":
-		default:
-			return fmt.Errorf("scenario %s: unknown series stat %q (mean | max | min | cv)", name, st)
+		if !slices.Contains(seriesStatNames, st) {
+			return fmt.Errorf("%s: unknown series stat %q (%s)", where, st, strings.Join(seriesStatNames, " | "))
 		}
 	}
-	if len(m.SeriesStats) > 0 && !isSeriesKind(m.Kind) {
-		return fmt.Errorf("scenario %s: series_stats only apply to series measures, not %q", name, m.Kind)
-	}
-	if len(m.SeriesStats) > 0 && m.Kind == MeasureLatencyPairSeries {
-		return fmt.Errorf("scenario %s: %q always emits event_mean/proc_mean; series_stats do not apply", name, MeasureLatencyPairSeries)
+	if !isSeriesKind(m.Kind) {
+		switch {
+		case len(m.SeriesStats) > 0:
+			return fmt.Errorf("%s: series_stats only apply to series measures, not %q", where, m.Kind)
+		case m.Extra != "":
+			return fmt.Errorf("%s: extra series %q only applies to series measures, not %q", where, m.Extra, m.Kind)
+		case m.Verdict:
+			return fmt.Errorf("%s: verdict only applies to series measures, not %q", where, m.Kind)
+		}
 	}
 	switch m.Aside {
 	case "":
 	case AsideStormNaiveJoin:
 		if m.Kind != MeasureSustainable {
-			return fmt.Errorf("scenario %s: aside %q requires the %q measure", name, m.Aside, MeasureSustainable)
+			return fmt.Errorf("%s: aside %q requires the %q measure", where, m.Aside, MeasureSustainable)
 		}
 	default:
-		return fmt.Errorf("scenario %s: unknown aside %q", name, m.Aside)
+		return fmt.Errorf("%s: unknown aside %q", where, m.Aside)
 	}
 	return nil
 }
 
+// isSeriesKind reports whether the measure renders per-point time-series
+// panels (and so takes series_stats, extra and verdict).
 func isSeriesKind(kind string) bool {
 	switch kind {
-	case MeasureLatencySeries, MeasureLatencyPairSeries, MeasureThroughputSeries:
+	case MeasureLatencySeries, MeasureLatencyPairSeries, MeasureThroughputSeries, MeasureResourceSeries:
 		return true
 	}
 	return false
+}
+
+// bisects reports whether the sweep's grid points search for their
+// sustainable rate instead of running at a fixed load: every point of the
+// sustainable measure, and the load-less sweeps of the outcome measure.
+func bisects(m Measure, sw Sweep) bool {
+	return m.Kind == MeasureSustainable || (m.Kind == MeasureOutcome && sw.Load.Kind == "")
 }
 
 func (sw Sweep) validate(name string, i int, m Measure) error {
@@ -498,6 +531,9 @@ func (sw Sweep) validate(name string, i int, m Measure) error {
 	for _, e := range sw.Engines {
 		if _, err := core.EngineByName(e); err != nil {
 			return fmt.Errorf("%s: %w", where, err)
+		}
+		if sw.SpillableState && e != "storm" {
+			return fmt.Errorf("%s: spillable_state applies only to storm, not %s", where, e)
 		}
 	}
 	if len(sw.Workers) == 0 {
@@ -565,7 +601,7 @@ func (q Query) build() (workload.Query, error) {
 func (l Load) validate(where string, m Measure, sw Sweep, q workload.Query) error {
 	switch l.Kind {
 	case "":
-		if m.Kind != MeasureSustainable {
+		if m.Kind != MeasureSustainable && m.Kind != MeasureOutcome {
 			return fmt.Errorf("%s: measure %q needs a load schedule", where, m.Kind)
 		}
 	case LoadTableRates:

@@ -44,9 +44,19 @@ func TestSpecValidationFailures(t *testing.T) {
 			s.Measure = Measure{Kind: MeasureLatencySeries, SeriesStats: []string{"median"}}
 		}, "unknown series stat"},
 		{"stats on table measure", func(s *Spec) { s.Measure.SeriesStats = []string{"mean"} }, "series_stats only apply"},
-		{"stats on pair measure", func(s *Spec) {
-			s.Measure = Measure{Kind: MeasureLatencyPairSeries, SeriesStats: []string{"max"}}
-		}, "series_stats do not apply"},
+		{"slope on table measure", func(s *Spec) { s.Measure.SeriesStats = []string{"slope"} }, "measure: series_stats only apply"},
+		{"extra series on table measure", func(s *Spec) { s.Measure.Extra = "scheduler_delay" }, "measure: extra series"},
+		{"verdict on table measure", func(s *Spec) { s.Measure.Verdict = true }, "measure: verdict only applies"},
+		{"spillable state on flink", func(s *Spec) { s.Sweeps[0].SpillableState = true }, "sweep 0: spillable_state applies only to storm"},
+		{"spillable state on a mixed sweep", func(s *Spec) {
+			s.Sweeps[0].Engines = []string{"storm", "spark"}
+			s.Sweeps[0].SpillableState = true
+		}, "sweep 0: spillable_state applies only to storm, not spark"},
+		{"faults on a bisecting outcome sweep", func(s *Spec) {
+			s.Measure = Measure{Kind: MeasureOutcome}
+			s.Sweeps[0].Load = Load{}
+			s.Faults = []Fault{{Kind: "stall", At: Duration(10e9), For: Duration(5e9)}}
+		}, "bisecting sweep"},
 		{"bad aside", func(s *Spec) {
 			s.Measure = Measure{Kind: MeasureSustainable, Aside: "flink-aside"}
 			s.Sweeps[0].Load = Load{}
