@@ -65,7 +65,7 @@ compare-gate:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/par/
 	GOMAXPROCS=4 $(GO) test -race ./internal/flat/
-	GOMAXPROCS=4 $(GO) test -race ./internal/driver/ -run 'TestSpeculative|TestWarmStart|TestProbe'
+	GOMAXPROCS=4 $(GO) test -race ./internal/driver/ -run 'TestSpeculative|TestProbe'
 	GOMAXPROCS=4 $(GO) test -race ./internal/scenario/ -run 'TestTable1Shape|TestReplicate|TestExp4Shape'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/ -run 'TestRunTasks'
 	$(GO) test -race -short ./internal/ctl/

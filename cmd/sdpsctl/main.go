@@ -74,7 +74,7 @@ func usage() {
   watch  <run-id>
   abort  <run-id> [--reason TEXT]
   fetch  <run-id> [-o file] [--dir store-dir]
-  agent  [--name NAME] [--workers N] [--cell-cache N] [--warm-start]
+  agent  [--name NAME] [--workers N] [--cell-cache N]
 
 All commands accept --coord URL (default $SDPSD_COORD or
 http://127.0.0.1:8372).`)
@@ -316,14 +316,10 @@ func cmdAgent(pos, args []string) {
 	name := fs.String("name", "", "agent name shown in status output (default: hostname)")
 	workers := fs.Int("workers", 1, "concurrent cell executors to run")
 	cacheSize := fs.Int("cell-cache", 4096, "finished-cell result cache entries, shared by this process's workers (0 disables)")
-	warmStart := fs.Bool("warm-start", false, "seed sustainable-throughput searches from prior brackets in the cell cache (faster, but artifacts are no longer byte-identical to cold runs)")
 	poll := fs.Duration("poll", 0, "idle re-poll interval (default 50ms); coordinator errors back off exponentially from here")
 	fs.Parse(args)
 	if len(pos) != 0 {
 		fatalf("agent takes no positional arguments")
-	}
-	if *warmStart && *cacheSize <= 0 {
-		fatalf("--warm-start requires a cell cache: set --cell-cache > 0")
 	}
 	if *name == "" {
 		host, err := os.Hostname()
@@ -340,7 +336,7 @@ func cmdAgent(pos, args []string) {
 	defer stop()
 	var wg sync.WaitGroup
 	for i := 0; i < *workers; i++ {
-		a := &ctl.Agent{Name: fmt.Sprintf("%s-%d", *name, i), API: ctl.NewClient(*coord), Poll: *poll, Cache: cache, WarmStart: *warmStart}
+		a := &ctl.Agent{Name: fmt.Sprintf("%s-%d", *name, i), API: ctl.NewClient(*coord), Poll: *poll, Cache: cache}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -32,12 +32,8 @@ func main() {
 		leaseTTL    = flag.Duration("lease-ttl", 30*time.Second, "cell lease TTL; an agent silent this long forfeits its leases")
 		maxAttempts = flag.Int("max-attempts", 3, "executions per cell (failures + expiries) before the run fails")
 		cacheSize   = flag.Int("cell-cache", 4096, "finished-cell result cache entries shared by the in-process agents (0 disables)")
-		warmStart   = flag.Bool("warm-start", false, "seed sustainable-throughput searches from prior brackets in the cell cache (faster, but artifacts are no longer byte-identical to cold runs)")
 	)
 	flag.Parse()
-	if *warmStart && *cacheSize <= 0 {
-		fatalf("-warm-start requires a cell cache: set -cell-cache > 0")
-	}
 
 	store, err := ctl.NewStore(*data)
 	if err != nil {
@@ -60,7 +56,7 @@ func main() {
 		cache = ctl.NewResultCache(*cacheSize)
 	}
 	for i := 0; i < *agents; i++ {
-		a := &ctl.Agent{Name: fmt.Sprintf("local-%d", i), API: coord, Cache: cache, WarmStart: *warmStart}
+		a := &ctl.Agent{Name: fmt.Sprintf("local-%d", i), API: coord, Cache: cache}
 		go func() {
 			if err := a.Run(ctx); err != nil {
 				fmt.Fprintf(os.Stderr, "sdpsd: agent %s: %v\n", a.Name, err)

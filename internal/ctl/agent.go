@@ -36,13 +36,6 @@ type Agent struct {
 	// by cell content hash (see ResultCache); typically shared by every
 	// agent worker in a process.
 	Cache *ResultCache
-	// WarmStart, when set (and Cache is non-nil), lets sustainable-search
-	// cells seed their bisection bracket from prior searches of the same
-	// deployment recorded in the cache (core.WarmStarts).  Off by
-	// default: warm-started searches are faster but not byte-identical
-	// to cold ones, so enabling it trades the coordinator's
-	// distributed-vs-direct byte-identity guarantee for speed.
-	WarmStart bool
 }
 
 // Run registers the agent and processes leases until ctx is done.  A
@@ -181,9 +174,6 @@ func (a *Agent) executeCached(ctx context.Context, task *LeaseTask) ([]byte, err
 	key := cellCacheKey(task, cell)
 	if result, ok := a.Cache.Get(key); ok {
 		return result, nil
-	}
-	if a.WarmStart && a.Cache != nil {
-		ctx = core.WithWarmStarts(ctx, a.Cache)
 	}
 	v, err := cell.Run(ctx, o)
 	if err != nil {

@@ -62,18 +62,8 @@ func (c *ResultCache) Put(key string, result []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(key, result, false)
-}
-
-// putLocked inserts an entry with FIFO eviction beyond the bound.  An
-// existing entry is left alone (results are immutable for a key) unless
-// overwrite is set (warm brackets: the latest converged bracket wins).
-// Callers hold c.mu.
-func (c *ResultCache) putLocked(key string, value []byte, overwrite bool) {
+	// An existing entry is left alone: results are immutable for a key.
 	if _, ok := c.entries[key]; ok {
-		if overwrite {
-			c.entries[key] = value
-		}
 		return
 	}
 	for len(c.entries) >= c.max && len(c.order) > 0 {
@@ -81,7 +71,7 @@ func (c *ResultCache) putLocked(key string, value []byte, overwrite bool) {
 		c.order = c.order[1:]
 		delete(c.entries, oldest)
 	}
-	c.entries[key] = value
+	c.entries[key] = result
 	c.order = append(c.order, key)
 }
 
@@ -90,52 +80,6 @@ func (c *ResultCache) Stats() (hits, misses int64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, len(c.entries)
-}
-
-// warmPrefix namespaces sustainable-search brackets inside the cache so
-// they can never collide with canonical cell results ("content/", "spec/").
-const warmPrefix = "warmstart/"
-
-// warmEntry is the stored bracket shape.
-type warmEntry struct {
-	Lo, Hi float64
-}
-
-// WarmBracket implements core.WarmStarts: it returns the bracket a prior
-// sustainable search over the same deployment (any seed/scale) converged
-// to.  Warm lookups do not count toward the hit/miss statistics — they
-// accelerate a search rather than replace a result.
-func (c *ResultCache) WarmBracket(key string) (lo, hi float64, ok bool) {
-	if c == nil || key == "" {
-		return 0, 0, false
-	}
-	c.mu.Lock()
-	raw, found := c.entries[warmPrefix+key]
-	c.mu.Unlock()
-	if !found {
-		return 0, 0, false
-	}
-	var w warmEntry
-	if err := json.Unmarshal(raw, &w); err != nil || w.Lo <= 0 || w.Hi <= w.Lo {
-		return 0, 0, false
-	}
-	return w.Lo, w.Hi, true
-}
-
-// RecordBracket implements core.WarmStarts.  Unlike Put it overwrites:
-// the most recent converged bracket is the best prior for the next search
-// (a stale one may have gone cold and forced a fallback).
-func (c *ResultCache) RecordBracket(key string, lo, hi float64) {
-	if c == nil || key == "" || lo <= 0 || hi <= lo {
-		return
-	}
-	raw, err := json.Marshal(warmEntry{Lo: lo, Hi: hi})
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(warmPrefix+key, raw, true)
 }
 
 // cellCacheKey derives the cache key for a leased cell: the cell's

@@ -192,48 +192,6 @@ func TestResultCacheEviction(t *testing.T) {
 	nilCache.Put("a", nil) // must not panic
 }
 
-// TestResultCacheWarmBrackets pins the cache's core.WarmStarts face:
-// brackets round-trip under the warm namespace, never collide with result
-// entries, overwrite on re-record, and reject degenerate values.
-func TestResultCacheWarmBrackets(t *testing.T) {
-	var _ core.WarmStarts = (*ResultCache)(nil) // interface satisfaction
-
-	cache := NewResultCache(8)
-	if _, _, ok := cache.WarmBracket("k"); ok {
-		t.Fatal("empty cache served a bracket")
-	}
-	cache.RecordBracket("k", 0.4e6, 0.5e6)
-	lo, hi, ok := cache.WarmBracket("k")
-	if !ok || lo != 0.4e6 || hi != 0.5e6 {
-		t.Fatalf("bracket did not round-trip: %v %v %v", lo, hi, ok)
-	}
-	// Warm entries live in their own namespace: no result collision.
-	if _, ok := cache.Get("k"); ok {
-		t.Fatal("warm bracket leaked into result namespace")
-	}
-	cache.Put("k", []byte("result"))
-	if lo, hi, ok := cache.WarmBracket("k"); !ok || lo != 0.4e6 || hi != 0.5e6 {
-		t.Fatal("result entry clobbered the warm bracket")
-	}
-	// Re-record overwrites (a stale bracket forced a cold fallback).
-	cache.RecordBracket("k", 0.6e6, 0.7e6)
-	if lo, _, _ := cache.WarmBracket("k"); lo != 0.6e6 {
-		t.Fatalf("re-record did not overwrite: lo=%v", lo)
-	}
-	// Degenerate brackets are dropped.
-	cache.RecordBracket("bad", 0, 1)
-	cache.RecordBracket("bad", 2, 1)
-	if _, _, ok := cache.WarmBracket("bad"); ok {
-		t.Fatal("degenerate bracket stored")
-	}
-	// Nil-safety mirrors Get/Put.
-	var nilCache *ResultCache
-	nilCache.RecordBracket("k", 1, 2)
-	if _, _, ok := nilCache.WarmBracket("k"); ok {
-		t.Fatal("nil cache served a bracket")
-	}
-}
-
 // --- scenarios over the wire -------------------------------------------
 
 func tinyScenario() scenario.Spec {

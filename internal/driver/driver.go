@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/broker"
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/generator"
@@ -231,13 +230,11 @@ func Run(eng engine.Engine, cfg Config) (*Result, error) {
 // result.  Cancellation never yields a partial Result, so it cannot
 // perturb determinism of completed runs.
 func RunContext(ctx context.Context, eng engine.Engine, cfg Config) (*Result, error) {
-	return runContext(ctx, eng, cfg, nil)
+	return NewProbe().Run(ctx, eng, cfg)
 }
 
-// runContext executes one run.  With a non-nil probe the kernel, cluster,
-// queues, generator, engine arena and metrics storage are recycled from
-// it (see Probe); with nil everything is built fresh.  Both paths are
-// bit-identical.
+// runContext executes one run, drawing the kernel, cluster, queues,
+// generator, engine arena and metrics storage from the probe (see Probe).
 func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -247,29 +244,9 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		return nil, err
 	}
 
-	var (
-		k      *sim.Kernel
-		cl     *cluster.Cluster
-		queues *queue.Group
-		err    error
-	)
-	if probe != nil {
-		k, cl, queues, err = probe.components(cfg)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		k = sim.NewKernel(cfg.Seed)
-		// Provision for the rescale plan's maximum worker count (the
-		// plan-free maximum is cfg.Workers itself), then start with only
-		// cfg.Workers in service; the engine runtime walks the active
-		// count along the plan every tick.
-		cl, err = cluster.New(cluster.DefaultConfig(cfg.Rescale.MaxWorkers(cfg.Workers)))
-		if err != nil {
-			return nil, err
-		}
-		cl.SetActive(cfg.Workers)
-		queues = queue.NewGroup("gen", cfg.GeneratorInstances, cfg.QueueCapPerInstance)
+	k, cl, queues, err := probe.components(cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	genCfg := generator.Config{
@@ -288,12 +265,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		genCfg.AdsShare = 0.3
 		genCfg.MatchProb = cfg.Query.Selectivity
 	}
-	var gen *generator.Generator
-	if probe != nil {
-		gen, err = probe.generatorFor(k, genCfg, queues)
-	} else {
-		gen, err = generator.New(k, genCfg, queues)
-	}
+	gen, err := probe.generatorFor(k, genCfg, queues)
 	if err != nil {
 		return nil, err
 	}
@@ -316,17 +288,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		Workers: cfg.Workers,
 		Config:  cfg,
 	}
-	if probe != nil {
-		probe.metricsInto(res)
-	} else {
-		res.EventLatency = metrics.NewHistogram()
-		res.ProcLatency = metrics.NewHistogram()
-		res.EventLatencySeries = metrics.NewSeries("event_latency_s")
-		res.ProcLatencySeries = metrics.NewSeries("processing_latency_s")
-		res.EventLatencyMaxSeries = metrics.NewSeries("event_latency_max_s")
-		res.ThroughputSeries = metrics.NewSeries("ingest_rate_ev_s")
-		res.QueueDepthSeries = metrics.NewSeries("queue_depth_events")
-	}
+	probe.metricsInto(res)
 
 	warmupEnd := time.Duration(float64(cfg.RunFor) * cfg.WarmupFraction)
 
@@ -357,10 +319,6 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		}
 	}
 
-	var mem *engine.Mem
-	if probe != nil {
-		mem = probe.mem
-	}
 	job, err := eng.Deploy(k, engine.Config{
 		Cluster:        cl,
 		Query:          cfg.Query,
@@ -369,7 +327,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		Tick:           cfg.EngineTick,
 		EventWeight:    cfg.EventsPerTuple,
 		WatermarkSlack: cfg.WatermarkSlack,
-		Mem:            mem,
+		Mem:            probe.mem,
 		Faults:         cfg.Faults,
 		Rescale:        cfg.Rescale,
 	})
@@ -492,16 +450,6 @@ type SearchConfig struct {
 	// discards mispredicted branches.  0 = adapt to the spare worker
 	// capacity (and to GOMAXPROCS); 1 = strictly sequential.
 	Speculate int
-	// WarmLo/WarmHi, when 0 < WarmLo < WarmHi, seed the bracket from a
-	// prior search of the same deployment (widened by the resolution
-	// margin and clipped to [Lo, Hi]).  If the prior bracket no longer
-	// brackets the answer — its floor probe is unsustainable, or every
-	// probe up to its ceiling is sustainable (the true rate may sit
-	// above it) — the search falls back to the cold [Lo, Hi] bracket and
-	// returns exactly the cold result.  Warm-started searches probe a
-	// much narrower bracket, so they are faster but not bit-identical to
-	// a cold search — leave both zero where byte-reproducibility matters.
-	WarmLo, WarmHi float64
 	// Stats, when non-nil, receives the search accounting.
 	Stats *SearchStats
 }
@@ -517,13 +465,6 @@ type SearchStats struct {
 	// Rounds is the number of speculative rounds (bracket updates happen
 	// Probes times; rounds batch them).
 	Rounds int
-	// WarmStart reports whether a prior bracket seeded the search (false
-	// when the warm floor probe failed and the search fell back cold).
-	WarmStart bool
-	// FinalLo and FinalHi are the converged bracket: FinalLo is the
-	// highest rate judged sustainable, FinalHi the lowest judged not.
-	// They are what a warm start feeds back into WarmLo/WarmHi.
-	FinalLo, FinalHi float64
 }
 
 // WithDefaults fills unset fields.
@@ -549,7 +490,8 @@ func (s SearchConfig) WithDefaults() SearchConfig {
 // FindSustainable bisects for the maximum sustainable throughput
 // (Definition 5) of the deployment described by base.  base.Rate is
 // ignored; each probe runs at a constant candidate rate.  It returns the
-// highest rate judged sustainable and that rate's full Result.
+// highest rate judged sustainable and that rate's full Result, or 0 and
+// the floor probe's Result when even SearchConfig.Lo is unsustainable.
 func FindSustainable(eng engine.Engine, base Config, scfg SearchConfig) (float64, *Result, error) {
 	return FindSustainableContext(context.Background(), eng, base, scfg)
 }
@@ -589,61 +531,7 @@ func FindSustainableContext(ctx context.Context, eng engine.Engine, base Config,
 		defer func() { *scfg.Stats = s.stats }()
 	}
 
-	// Warm start: search the (widened, clipped) prior bracket first.  The
-	// warm result is only trusted if the bracket still brackets the
-	// answer on both sides: the floor probe must be sustainable (the rate
-	// did not drift below the bracket) and some probe must have been
-	// judged unsustainable (FinalHi moved below the warm ceiling — the
-	// rate did not drift above it; a ceiling at the global Hi has nothing
-	// above it to miss).  Otherwise fall back to the cold search — probe
-	// numbering restarts at zero, making the fallback bit-identical to a
-	// search that never warm-started.
-	if wlo, whi, ok := warmBracket(scfg); ok {
-		rate, res, resProbe, floorOK, err := s.bisect(wlo, whi)
-		if err != nil {
-			return 0, nil, err
-		}
-		if floorOK && (s.stats.FinalHi < whi || whi >= scfg.Hi) {
-			s.stats.WarmStart = true
-			return rate, res, nil
-		}
-		// The warm result is discarded; its probe arena is free for the
-		// cold search to recycle.
-		s.pool.release(resProbe)
-		s.probeN = 0
-	}
-
-	rate, res, _, floorOK, err := s.bisect(scfg.Lo, scfg.Hi)
-	if err != nil {
-		return 0, nil, err
-	}
-	if !floorOK {
-		// Even the floor rate is unsustainable: report failure via the
-		// floor probe's result.
-		return 0, res, nil
-	}
-	return rate, res, nil
-}
-
-// warmBracket widens a prior bracket by twice the resolution (the prior
-// answer came from a possibly different seed or probe scale) and clips it
-// into [Lo, Hi].
-func warmBracket(scfg SearchConfig) (float64, float64, bool) {
-	if scfg.WarmLo <= 0 || scfg.WarmHi <= scfg.WarmLo {
-		return 0, 0, false
-	}
-	wlo := scfg.WarmLo * (1 - 2*scfg.Resolution)
-	whi := scfg.WarmHi * (1 + 2*scfg.Resolution)
-	if wlo < scfg.Lo {
-		wlo = scfg.Lo
-	}
-	if whi > scfg.Hi {
-		whi = scfg.Hi
-	}
-	if whi <= wlo {
-		return 0, 0, false
-	}
-	return wlo, whi, true
+	return s.bisect(scfg.Lo, scfg.Hi)
 }
 
 // autoSpeculate is the per-round probe cap when SearchConfig.Speculate is
@@ -678,10 +566,6 @@ func (s *searcher) probeAt(rate float64, n uint64) (*Result, *Probe, error) {
 	cfg := s.base
 	cfg.Rate = generator.ConstantRate(rate)
 	cfg.Seed = s.base.Seed + n*1_000_003
-	if cfg.Broker != nil {
-		res, err := RunContext(s.ctx, s.eng, cfg)
-		return res, nil, err
-	}
 	p := s.pool.acquire()
 	res, err := p.Run(s.ctx, s.eng, cfg)
 	if err != nil {
@@ -732,23 +616,23 @@ func (s *searcher) converged(lo, hi float64) bool {
 }
 
 // bisect runs the (speculative) bisection over [lo, hi].  It returns the
-// converged rate, its Result and the Probe arena holding that Result,
-// with floorOK=false when the floor probe at lo was judged unsustainable
-// (res then is the floor probe's Result).  Probes whose results are
-// discarded along the way — mispredicted speculation branches, consumed
-// unsustainable verdicts, replaced bests — are released back to the pool
-// for the next round to recycle.
-func (s *searcher) bisect(lo, hi float64) (float64, *Result, *Probe, bool, error) {
+// converged rate and its Result; when even the floor probe at lo is
+// judged unsustainable it reports the failure as rate 0 with the floor
+// probe's Result.  The returned Result lives in a Probe arena the search
+// never releases.
+// Probes whose results are discarded along the way — mispredicted
+// speculation branches, consumed unsustainable verdicts, replaced bests —
+// are released back to the pool for the next round to recycle.
+func (s *searcher) bisect(lo, hi float64) (float64, *Result, error) {
 	loRes, loProbe, err := s.probeAt(lo, s.probeN)
 	s.stats.Speculative++
 	if err != nil {
-		return 0, nil, nil, false, err
+		return 0, nil, err
 	}
 	s.probeN++
 	s.stats.Probes++
 	if !loRes.Verdict.Sustainable {
-		s.stats.FinalLo, s.stats.FinalHi = 0, lo
-		return 0, loRes, loProbe, false, nil
+		return 0, loRes, nil
 	}
 	best, bestRes, bestProbe := lo, loRes, loProbe
 
@@ -762,7 +646,7 @@ func (s *searcher) bisect(lo, hi float64) (float64, *Result, *Probe, bool, error
 		for idx < len(nodes) && nodes[idx].live && !s.converged(lo, hi) {
 			nd := &nodes[idx]
 			if nd.err != nil {
-				return 0, nil, nil, false, nd.err
+				return 0, nil, nd.err
 			}
 			nd.consumed = true
 			s.probeN++
@@ -786,8 +670,7 @@ func (s *searcher) bisect(lo, hi float64) (float64, *Result, *Probe, bool, error
 			}
 		}
 	}
-	s.stats.FinalLo, s.stats.FinalHi = best, hi
-	return best, bestRes, bestProbe, true, nil
+	return best, bestRes, nil
 }
 
 // buildTree lays out the round's speculation tree in heap order.  A node is

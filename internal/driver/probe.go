@@ -15,16 +15,18 @@ import (
 // Probe is a reusable run instance: one complete set of simulation
 // components — kernel, cluster model, driver queues, generator fleet,
 // engine arena (runtime, window state, scratch queues) and metrics
-// storage — that Run recycles between runs instead of rebuilding.  The
+// storage — that Run recycles between runs instead of rebuilding.  Every
+// run goes through a Probe: RunContext runs on a new one.  The
 // sustainable-throughput search runs dozens of probe simulations per
 // deployment; with a Probe the steady-state probes after the first
 // perform near-zero setup allocation (see DESIGN-PERF.md §8).
 //
-// A Probe run is bit-identical to a fresh RunContext run: every recycled
-// component resets to exactly its freshly-constructed state (kernel
-// clock/sequence/RNG streams, queue rings, window tables, metrics), and
-// only capacity — ring sizes, table slabs, series backing arrays — is
-// carried over.
+// A run on a recycled Probe is bit-identical to a run on a new one: every
+// recycled component resets to exactly its freshly-constructed state
+// (kernel clock/sequence/RNG streams, queue rings, window tables,
+// metrics), and only capacity — ring sizes, table slabs, series backing
+// arrays — is carried over.  A broker, when configured, and its output
+// queues are built per run.
 //
 // Ownership: the Result returned by Run, and everything it references
 // (latency histograms, every series), lives in the probe's arena and is
@@ -43,6 +45,7 @@ type Probe struct {
 	evSeries, procSeries, evMaxSeries, thrSeries, qdSeries *metrics.Series
 
 	// Shape of the recycled components; a mismatching config rebuilds.
+	// workers is the provisioned (not the initially active) node count.
 	workers   int
 	instances int
 	capPer    int64
@@ -52,13 +55,8 @@ type Probe struct {
 func NewProbe() *Probe { return &Probe{} }
 
 // Run executes one benchmark run like RunContext, drawing every component
-// from the probe's arena.  Runs with a broker configured fall back to
-// fresh construction (the broker topology is not recycled), as do runs
-// with a rescale plan (the cluster must be provisioned past cfg.Workers).
+// from the probe's arena.
 func (p *Probe) Run(ctx context.Context, eng engine.Engine, cfg Config) (*Result, error) {
-	if cfg.Broker != nil || !cfg.Rescale.Empty() {
-		return RunContext(ctx, eng, cfg)
-	}
 	return runContext(ctx, eng, cfg, p)
 }
 
@@ -70,16 +68,22 @@ func (p *Probe) components(cfg Config) (*sim.Kernel, *cluster.Cluster, *queue.Gr
 	} else {
 		p.k.Reset(cfg.Seed)
 	}
-	if p.cl == nil || p.workers != cfg.Workers {
-		cl, err := cluster.New(cluster.DefaultConfig(cfg.Workers))
+	// Provision for the rescale plan's maximum worker count (the
+	// plan-free maximum is cfg.Workers itself), then start with only
+	// cfg.Workers in service; the engine runtime walks the active count
+	// along the plan every tick.
+	provisioned := cfg.Rescale.MaxWorkers(cfg.Workers)
+	if p.cl == nil || p.workers != provisioned {
+		cl, err := cluster.New(cluster.DefaultConfig(provisioned))
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		p.cl = cl
-		p.workers = cfg.Workers
+		p.workers = provisioned
 	} else {
 		p.cl.Reset()
 	}
+	p.cl.SetActive(cfg.Workers)
 	if p.queues == nil || p.instances != cfg.GeneratorInstances || p.capPer != cfg.QueueCapPerInstance {
 		p.queues = queue.NewGroup("gen", cfg.GeneratorInstances, cfg.QueueCapPerInstance)
 		p.instances = cfg.GeneratorInstances

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/engine/flink"
+	"repro/internal/fault"
 	"repro/internal/generator"
 	"repro/internal/workload"
 )
@@ -22,32 +24,75 @@ func probeTestConfig(rate float64) Config {
 	}
 }
 
-// TestProbeRunBitIdenticalToFresh is the arena determinism pin: a run on
-// a recycled Probe — after the arena has been dirtied by a different
-// prior run — must produce a Result deep-equal to a fresh RunContext run
-// of the same config.
-func TestProbeRunBitIdenticalToFresh(t *testing.T) {
-	eng := flink.New(flink.Options{})
-	fresh, err := Run(eng, probeTestConfig(0.6e6))
-	if err != nil {
-		t.Fatal(err)
-	}
+// probeStep is one run of a probe-reuse sequence.
+type probeStep struct {
+	name string
+	cfg  Config
+}
 
+// checkProbeSequence runs every step in order on one Probe — each run
+// after the first on an arena dirtied by the previous, differently shaped
+// one — and requires each Result to deep-equal the same config run on a
+// new Probe.
+func checkProbeSequence(t *testing.T, steps []probeStep) {
+	t.Helper()
+	eng := flink.New(flink.Options{})
 	p := NewProbe()
-	// Dirty the arena with a run at a different rate and seed.
+	for _, st := range steps {
+		want, err := NewProbe().Run(context.Background(), eng, st.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if want.Outputs == 0 {
+			t.Fatalf("%s: the run emitted nothing, so the comparison pins nothing", st.name)
+		}
+		got, err := p.Run(context.Background(), eng, st.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: recycled probe Result differs from a new probe's:\nrecycled: outputs=%d gen=%d verdict=%+v\nnew:      outputs=%d gen=%d verdict=%+v",
+				st.name, got.Outputs, got.Generated, got.Verdict, want.Outputs, want.Generated, want.Verdict)
+		}
+	}
+}
+
+// TestProbeRunBitIdenticalToFresh is the arena determinism pin: one Probe
+// runs an aggregation, a join, a fault schedule, a rescale plan, a broker
+// config and an aggregation again, and every run must be deep-equal to
+// the same config on a new Probe — the path RunContext takes.
+func TestProbeRunBitIdenticalToFresh(t *testing.T) {
+	join := probeTestConfig(0.3e6)
+	join.Query = workload.Default(workload.Join)
+
+	faulted := probeTestConfig(0.6e6)
+	faulted.Faults = &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.KindKillWorker, Worker: 1, At: 15 * time.Second, RestartAfter: 5 * time.Second},
+		{Kind: fault.KindStall, At: 25 * time.Second, For: 2 * time.Second, Factor: 0.5},
+	}}
+
+	rescaled := probeTestConfig(0.6e6)
+	rescaled.Rescale = &fault.RescalePlan{Steps: []fault.RescaleStep{
+		{At: 15 * time.Second, Workers: 6},
+		{At: 30 * time.Second, Workers: 3},
+	}}
+
+	brokered := probeTestConfig(0.5e6)
+	bcfg := broker.DefaultConfig()
+	brokered.Broker = &bcfg
+	brokered.WatermarkSlack = 200 * time.Millisecond
+
 	dirty := probeTestConfig(1.1e6)
 	dirty.Seed = 7
-	if _, err := p.Run(context.Background(), eng, dirty); err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Run(context.Background(), eng, probeTestConfig(0.6e6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, fresh) {
-		t.Fatalf("recycled probe Result differs from fresh run:\nprobe: outputs=%d gen=%d verdict=%+v\nfresh: outputs=%d gen=%d verdict=%+v",
-			got.Outputs, got.Generated, got.Verdict, fresh.Outputs, fresh.Generated, fresh.Verdict)
-	}
+
+	checkProbeSequence(t, []probeStep{
+		{"aggregation", dirty},
+		{"join", join},
+		{"faults", faulted},
+		{"rescale", rescaled},
+		{"broker", brokered},
+		{"aggregation again", probeTestConfig(0.6e6)},
+	})
 }
 
 // TestProbeReusePerformsLittleAllocation pins the arena's reason to
@@ -74,28 +119,28 @@ func TestProbeReusePerformsLittleAllocation(t *testing.T) {
 	}
 }
 
-// TestProbeReshapes pins that a probe survives config shape changes
-// (worker count, queue fleet) by rebuilding only the mismatching
-// components, still bit-identical to fresh runs.
+// TestProbeReshapes pins that a probe survives config shape changes —
+// worker count, queue fleet, queue bound, a rescale plan's provisioning —
+// by rebuilding only the mismatching components, still bit-identical to
+// runs on a new Probe.
 func TestProbeReshapes(t *testing.T) {
-	eng := flink.New(flink.Options{})
-	p := NewProbe()
-	small := probeTestConfig(0.6e6)
-	if _, err := p.Run(context.Background(), eng, small); err != nil {
-		t.Fatal(err)
-	}
 	big := probeTestConfig(0.6e6)
 	big.Workers = 8
 	big.GeneratorInstances = 8
-	fresh, err := Run(eng, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Run(context.Background(), eng, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, fresh) {
-		t.Fatal("reshaped probe Result differs from fresh run")
-	}
+
+	capped := big
+	capped.QueueCapPerInstance = 1 << 20
+
+	// Starts on 4 workers but is provisioned for 8: the same cluster
+	// size as big, with fewer nodes in service.
+	scaleOut := probeTestConfig(0.6e6)
+	scaleOut.Rescale = &fault.RescalePlan{Steps: []fault.RescaleStep{{At: 20 * time.Second, Workers: 8}}}
+
+	checkProbeSequence(t, []probeStep{
+		{"4 workers", probeTestConfig(0.6e6)},
+		{"8 workers, 8 generators", big},
+		{"bounded queues", capped},
+		{"provisioned past the active set", scaleOut},
+		{"4 workers again", probeTestConfig(0.6e6)},
+	})
 }

@@ -65,113 +65,6 @@ func TestSpeculativeSearchBitIdenticalToSequential(t *testing.T) {
 				specStats.Speculative, specStats.Probes)
 		}
 	}
-	if seqStats.FinalLo != seqRate || seqStats.FinalHi <= seqRate {
-		t.Fatalf("final bracket accounting wrong: [%v, %v] around rate %v",
-			seqStats.FinalLo, seqStats.FinalHi, seqRate)
-	}
-}
-
-// TestWarmStartSearch checks a bracket recorded by a prior search makes the
-// next one cheaper and lands within the search resolution of the cold rate.
-func TestWarmStartSearch(t *testing.T) {
-	var cold SearchStats
-	cfg := searchCfg()
-	cfg.Stats = &cold
-	coldRate, _, err := FindSustainable(flink.New(flink.Options{}), searchBase(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var warm SearchStats
-	wcfg := searchCfg()
-	wcfg.WarmLo, wcfg.WarmHi = cold.FinalLo, cold.FinalHi
-	wcfg.Stats = &warm
-	warmRate, res, err := FindSustainable(flink.New(flink.Options{}), searchBase(), wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmStart {
-		t.Fatal("warm bracket was not used")
-	}
-	if res == nil || !res.Verdict.Sustainable {
-		t.Fatal("warm search must return a sustainable Result")
-	}
-	if warm.Probes >= cold.Probes {
-		t.Fatalf("warm start did not save probes: %d vs cold %d", warm.Probes, cold.Probes)
-	}
-	if rel := (warmRate - coldRate) / coldRate; rel > 2*wcfg.Resolution || rel < -2*wcfg.Resolution {
-		t.Fatalf("warm rate %v strays from cold rate %v by %.1f%%", warmRate, coldRate, 100*rel)
-	}
-}
-
-// TestWarmStartFallsBackCold checks a stale warm bracket (floor no longer
-// sustainable) falls back to the cold search and returns exactly its
-// result.
-func TestWarmStartFallsBackCold(t *testing.T) {
-	coldRate, coldRes, err := FindSustainable(flink.New(flink.Options{}), searchBase(), searchCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var stats SearchStats
-	wcfg := searchCfg()
-	// Flink is network-bound ~1.2M ev/s: a 1.4–1.6M bracket's floor fails.
-	wcfg.WarmLo, wcfg.WarmHi = 1.4e6, 1.6e6
-	wcfg.Stats = &stats
-	rate, res, err := FindSustainable(flink.New(flink.Options{}), searchBase(), wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WarmStart {
-		t.Fatal("stale warm bracket must not be reported as used")
-	}
-	if rate != coldRate || !reflect.DeepEqual(res, coldRes) {
-		t.Fatalf("fallback result differs from cold search: %v vs %v", rate, coldRate)
-	}
-
-	// Upward drift: a warm bracket entirely below the true rate has every
-	// probe judged sustainable, so its ceiling is never invalidated.  The
-	// search must not cap the answer at the bracket ceiling — it falls
-	// back cold and finds the real rate.
-	var low SearchStats
-	lcfg := searchCfg()
-	lcfg.WarmLo, lcfg.WarmHi = 0.3e6, 0.4e6
-	lcfg.Stats = &low
-	rate, res, err = FindSustainable(flink.New(flink.Options{}), searchBase(), lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if low.WarmStart {
-		t.Fatal("uninvalidated warm ceiling must not be reported as used")
-	}
-	if rate != coldRate || !reflect.DeepEqual(res, coldRes) {
-		t.Fatalf("upward-drift fallback differs from cold search: %v vs %v", rate, coldRate)
-	}
-}
-
-// TestWarmBracketValidation pins the widen/clip rules.
-func TestWarmBracketValidation(t *testing.T) {
-	base := SearchConfig{Lo: 0.1e6, Hi: 1.6e6, Resolution: 0.05}
-	if _, _, ok := warmBracket(base); ok {
-		t.Fatal("zero warm bracket must be ignored")
-	}
-	bad := base
-	bad.WarmLo, bad.WarmHi = 0.5e6, 0.4e6 // inverted
-	if _, _, ok := warmBracket(bad); ok {
-		t.Fatal("inverted warm bracket must be ignored")
-	}
-	w := base
-	w.WarmLo, w.WarmHi = 0.4e6, 0.5e6
-	lo, hi, ok := warmBracket(w)
-	if !ok || lo >= w.WarmLo || hi <= w.WarmHi {
-		t.Fatalf("warm bracket not widened: [%v, %v]", lo, hi)
-	}
-	clip := base
-	clip.WarmLo, clip.WarmHi = 0.05e6, 2e6 // beyond [Lo, Hi]
-	lo, hi, ok = warmBracket(clip)
-	if !ok || lo != base.Lo || hi != base.Hi {
-		t.Fatalf("warm bracket not clipped to [Lo, Hi]: [%v, %v]", lo, hi)
-	}
 }
 
 // BenchmarkFindSustainableQuick is the headline microbenchmark of one

@@ -59,11 +59,12 @@ type Config struct {
 	// the paper's future-work section, exercised by the disorder and
 	// broker ablations.
 	WatermarkSlack time.Duration
-	// Mem, when non-nil, is the deployment's recycled-state arena: a
-	// reused probe run (driver.Probe) passes the same Mem to every
-	// Deploy, and the engine draws its runtime, window state and scratch
-	// queues from it instead of allocating fresh ones.  nil (the default)
-	// means fresh construction everywhere.
+	// Mem, when non-nil, is the deployment's recycled-state arena: the
+	// driver runs every deployment on a driver.Probe, which passes its
+	// Mem to every Deploy, and the engine draws its runtime, window state
+	// and scratch queues from it instead of allocating fresh ones.  nil
+	// (an engine deployed directly, as the engine tests do) means fresh
+	// construction everywhere.
 	Mem *Mem
 	// Faults, when non-nil, is the run's deterministic fault schedule:
 	// the runtime scales every source pull by the schedule's capacity

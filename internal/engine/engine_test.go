@@ -274,6 +274,47 @@ func TestRuntimePullStampsAndTracks(t *testing.T) {
 	}
 }
 
+// BenchmarkRuntimePull measures the engines' shared ingestion hot path:
+// one 1024-tuple Pull across a 16-queue source group holding a standing
+// backlog (stamping, watermark scan, hot-key feed, network/CPU charge),
+// with the same 1024 tuples scattered back in so the backlog stays level.
+// It must report 0 allocs/op once the rings and the pull batch have grown.
+func BenchmarkRuntimePull(b *testing.B) {
+	cl, err := cluster.New(cluster.DefaultConfig(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{
+		Cluster: cl,
+		Query:   workload.Default(workload.Aggregation),
+		Sources: queue.NewGroup("q", 16, 0),
+		Sink:    func(*tuple.Output) {},
+	}.WithDefaults()
+	rt := NewRuntime(sim.NewKernel(1), cfg)
+	const pull = 1024
+	refill := tuple.NewBatch(pull)
+	for i := 0; i < pull; i++ {
+		refill.Append(tuple.Event{GemPackID: int64(i % 100), EventTime: time.Duration(i) * time.Millisecond, Weight: 20})
+	}
+	// A backlog of four pulls per queue, then one warm-up pull so the
+	// pull batch has grown.
+	for i := 0; i < 4; i++ {
+		cfg.Sources.Scatter(refill)
+	}
+	now := sim.Time(time.Second)
+	rt.Pull(pull, now)
+	cfg.Sources.Scatter(refill)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 10 * time.Millisecond
+		if batch, _ := rt.Pull(pull, now); batch.Len() != pull {
+			b.Fatalf("pulled %d tuples from the backlog, want %d", batch.Len(), pull)
+		}
+		cfg.Sources.Scatter(refill)
+	}
+}
+
 func TestRuntimeTupleBudgetLongRunExact(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := testConfig(t).WithDefaults()

@@ -219,9 +219,13 @@ func (j *job) Stop() { j.rt.Stop() }
 // Failed implements engine.Job.
 func (j *job) Failed() (bool, string) { return j.rt.Failed() }
 
+// SchedulerDelaySeries names Spark's one extra series: the per-batch
+// scheduler delay in seconds (Figure 11).
+const SchedulerDelaySeries = "scheduler_delay"
+
 // ExtraSeries implements engine.Job.
 func (j *job) ExtraSeries() map[string]*metrics.Series {
-	return map[string]*metrics.Series{"scheduler_delay": j.schedDelaySeries}
+	return map[string]*metrics.Series{SchedulerDelaySeries: j.schedDelaySeries}
 }
 
 // LateDropped returns events dropped as late; Spark's arrival-time window

@@ -291,14 +291,14 @@ type cellIdentity struct {
 	Scale   string
 	// Faults is part of the identity because a faulted run's result is a
 	// function of its schedule.  omitempty keeps fault-free identities —
-	// and therefore their content keys and warm caches — byte-identical
+	// and therefore their content keys and result caches — byte-identical
 	// to what they hashed to before faults existed.
 	Faults []Fault `json:",omitempty"`
 	// Rescale and Domains join the identity the same way: a rescaling
 	// run's result is a function of its plan, a domain outage's of the
 	// domain map (Go maps marshal with sorted keys, so the encoding is
 	// canonical).  omitempty keeps rescale-free, domain-free content keys
-	// — and the warm caches behind them — byte-identical to pre-rescale
+	// — and the result caches behind them — byte-identical to pre-rescale
 	// builds.
 	Rescale []RescaleStep    `json:",omitempty"`
 	Domains map[string][]int `json:",omitempty"`
@@ -381,13 +381,6 @@ func gridCells(s Spec, o core.Options) []core.Cell {
 			Rescale: s.Rescale, Domains: s.Domains,
 			Spill: sw.SpillableState, Extra: s.Measure.Extra,
 		}
-		// The warm key drops the seed and scale: a sustainable search for
-		// the same deployment under a different seed (replication) or
-		// scale converges to nearly the same bracket, which is exactly
-		// what a warm start needs (core.WarmStarts).
-		warmIdent := ident
-		warmIdent.Seed, warmIdent.Scale = 0, ""
-		warm := contentKey(warmIdent)
 		cells = append(cells, core.Cell{
 			ID:  cellID(s, p),
 			Key: contentKey(ident),
@@ -395,7 +388,7 @@ func gridCells(s Spec, o core.Options) []core.Cell {
 				if err != nil {
 					return nil, err
 				}
-				return runPoint(ctx, s, sw, p, q, join, warm, o)
+				return runPoint(ctx, s, sw, p, q, join, o)
 			},
 		})
 	}
@@ -414,7 +407,7 @@ func engineFor(sw Sweep, name string) (engine.Engine, error) {
 }
 
 // runPoint executes one grid point under the spec's measurement kind.
-func runPoint(ctx context.Context, s Spec, sw Sweep, p point, q workload.Query, join bool, warm string, o core.Options) (any, error) {
+func runPoint(ctx context.Context, s Spec, sw Sweep, p point, q workload.Query, join bool, o core.Options) (any, error) {
 	eng, err := engineFor(sw, p.engine)
 	if err != nil {
 		return nil, err
@@ -422,21 +415,9 @@ func runPoint(ctx context.Context, s Spec, sw Sweep, p point, q workload.Query, 
 	if bisects(s.Measure, sw) {
 		cfg := driver.Config{Seed: o.Seed, Workers: p.workers, Query: q}
 		applyInputShape(&cfg, sw)
-		scfg := o.SearchConfig()
-		var stats driver.SearchStats
-		ws := core.WarmStartsFrom(ctx)
-		if ws != nil && warm != "" {
-			scfg.Stats = &stats
-			if wlo, whi, ok := ws.WarmBracket(warm); ok {
-				scfg.WarmLo, scfg.WarmHi = wlo, whi
-			}
-		}
-		rate, res, err := driver.FindSustainableContext(ctx, eng, cfg, scfg)
+		rate, res, err := driver.FindSustainableContext(ctx, eng, cfg, o.SearchConfig())
 		if err != nil {
 			return nil, err
-		}
-		if ws != nil && warm != "" && rate > 0 {
-			ws.RecordBracket(warm, stats.FinalLo, stats.FinalHi)
 		}
 		cell := report.ThroughputCell{Engine: p.engine, Workers: p.workers, RateEvPerSec: rate}
 		if res != nil && !res.Verdict.Sustainable && rate == 0 {

@@ -40,6 +40,9 @@ func FuzzSpecJSON(f *testing.F) {
 			`"load":{"kind":"constant","rate_ev_per_sec":400000}}]}`,
 		`{"name":"bad-spill","seeds":1,"measure":{"kind":"outcome"},` +
 			`"sweeps":[{"engines":["flink"],"workers":[2],"spillable_state":true,"query":{"kind":"aggregation"}}]}`,
+		`{"name":"bad-extra","seeds":1,"measure":{"kind":"throughput-series","extra":"scheduler_delay"},` +
+			`"sweeps":[{"engines":["flink"],"workers":[2],"query":{"kind":"aggregation"},` +
+			`"load":{"kind":"constant","rate_ev_per_sec":100000}}]}`,
 		`{"faults":[{"kind":"partition","groups":[[0,0]]}]}`,
 		`{"name":"bad","measure":{"kind":"meteor"}}`,
 		`{"name":"neg","seeds":-1}`,

@@ -16,7 +16,8 @@ import (
 // -scale quick -seed 42 -json`.  The grids' goldens were produced by the
 // hand-written experiment code they replaced; fig7, fig10, fig11, exp3
 // and exp4 by their first compiled specs, whose metric values and series
-// equal the hand-written code's bit for bit.  The specs in builtin.go must
+// equal the hand-written code's bit for bit; the ablations' by the build
+// that still ran broker configurations outside the driver's probe arena.  The specs in builtin.go must
 // reproduce them byte for byte: same cell enumeration, same driver
 // configurations, same assembly rendering.  Any intentional change to
 // these experiments must regenerate the files and say so.
@@ -79,14 +80,12 @@ func TestGoldenArtifactsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	for _, s := range Builtin() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			e, err := core.Lookup(s.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, s.Name, e, runOnce(t, s.Name))
+	// Every registered experiment: the builtin specs and the three
+	// Go-coded ablations (the only runs with a broker configured).
+	for _, e := range core.Experiments() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			checkGolden(t, e.ID, e, runOnce(t, e.ID))
 		})
 	}
 	// The shipped example specs (faults, rescaling, skew, disorder) are

@@ -90,7 +90,7 @@ func TestRescaleSpecValidation(t *testing.T) {
 	}
 }
 
-// TestRescaleFreeIdentityUnchanged pins the warm-cache guarantee of the
+// TestRescaleFreeIdentityUnchanged pins the result-cache guarantee of the
 // schema extension: a rescale-free, domain-free cell must hash exactly as
 // it did before the fields existed (omitempty keeps absent fields out of
 // the identity JSON), and a rescaling cell is a different experiment.

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine/spark"
 	"repro/internal/fault"
 	"repro/internal/generator"
 	"repro/internal/workload"
@@ -171,7 +172,8 @@ type Measure struct {
 	SeriesStats []string `json:"series_stats,omitempty"`
 	// Extra names an engine-specific series (driver.Result.Extra, e.g.
 	// Spark's "scheduler_delay", in seconds) rendered as one more panel
-	// per grid point of a series measure.
+	// per grid point of a series measure.  Every engine of every sweep
+	// must publish it.
 	Extra string `json:"extra,omitempty"`
 	// Verdict makes a series measure also report each run's Definition 5
 	// verdict as {base}/sustainable (1 or 0).
@@ -534,6 +536,10 @@ func (sw Sweep) validate(name string, i int, m Measure) error {
 		}
 		if sw.SpillableState && e != "storm" {
 			return fmt.Errorf("%s: spillable_state applies only to storm, not %s", where, e)
+		}
+		// Spark's scheduler delay is the only engine-specific series.
+		if m.Extra != "" && (e != "spark" || m.Extra != spark.SchedulerDelaySeries) {
+			return fmt.Errorf("%s: engine %s publishes no extra series %q", where, e, m.Extra)
 		}
 	}
 	if len(sw.Workers) == 0 {

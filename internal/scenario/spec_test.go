@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/engine/spark"
 )
 
 // validSpec returns a minimal spec that passes validation; tests mutate it
@@ -52,6 +54,10 @@ func TestSpecValidationFailures(t *testing.T) {
 			s.Sweeps[0].Engines = []string{"storm", "spark"}
 			s.Sweeps[0].SpillableState = true
 		}, "sweep 0: spillable_state applies only to storm, not spark"},
+		{"extra series an engine does not publish", func(s *Spec) {
+			s.Measure = Measure{Kind: MeasureThroughputSeries, Extra: spark.SchedulerDelaySeries}
+			s.Sweeps[0].Engines = []string{"spark", "flink"}
+		}, `sweep 0: engine flink publishes no extra series "scheduler_delay"`},
 		{"faults on a bisecting outcome sweep", func(s *Spec) {
 			s.Measure = Measure{Kind: MeasureOutcome}
 			s.Sweeps[0].Load = Load{}

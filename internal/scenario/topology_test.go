@@ -76,7 +76,7 @@ func TestTopologyFaultSpecValidation(t *testing.T) {
 	}
 }
 
-// TestFaultFreeIdentityUnchangedByGroupsField pins the warm-cache
+// TestFaultFreeIdentityUnchangedByGroupsField pins the result-cache
 // guarantee of the schema extension: a fault-free cell, and a legacy
 // kill/stall cell, must hash exactly as they did before the Groups field
 // existed (omitempty keeps absent fields out of the identity JSON).

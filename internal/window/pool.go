@@ -7,8 +7,8 @@ package window
 // pool caches exactly one instance per kind.
 //
 // All acquisition methods are nil-receiver safe: a nil Pool (no arena —
-// the default RunContext path) falls back to fresh construction, which
-// keeps engine code identical on both paths.
+// an engine deployed directly, as the engine tests do) falls back to
+// fresh construction, which keeps engine code identical on both paths.
 type Pool struct {
 	inc  *IncrementalAggregator
 	pane *PaneAggregator
