@@ -265,8 +265,8 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		genCfg.AdsShare = 0.3
 		genCfg.MatchProb = cfg.Query.Selectivity
 	}
-	gen, err := probe.generatorFor(k, genCfg, queues)
-	if err != nil {
+	gen := probe.gen
+	if err := gen.Rebind(k, genCfg, queues); err != nil {
 		return nil, err
 	}
 
@@ -387,9 +387,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 
 	res.Generated = gen.TotalWeight()
 	res.Ingested = sources.TotalOut()
-	if ld, ok := job.(interface{ LateDropped() int64 }); ok {
-		res.LateDropped = ld.LateDropped()
-	}
+	res.LateDropped = job.LateDropped()
 	res.CPU = cl.CPUSeries()
 	res.Net = cl.NetSeries()
 	res.Extra = job.ExtraSeries()

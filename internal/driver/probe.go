@@ -14,12 +14,12 @@ import (
 
 // Probe is a reusable run instance: one complete set of simulation
 // components — kernel, cluster model, driver queues, generator fleet,
-// engine arena (runtime, window state, scratch queues) and metrics
-// storage — that Run recycles between runs instead of rebuilding.  Every
-// run goes through a Probe: RunContext runs on a new one.  The
-// sustainable-throughput search runs dozens of probe simulations per
-// deployment; with a Probe the steady-state probes after the first
-// perform near-zero setup allocation (see DESIGN-PERF.md §8).
+// engine arena (runtime, window state, scratch queue and series) and
+// metrics storage — that Run recycles between runs instead of
+// rebuilding.  Every run goes through a Probe: RunContext runs on a new
+// one.  The sustainable-throughput search runs dozens of probe
+// simulations per deployment; with a Probe the steady-state probes after
+// the first perform near-zero setup allocation (see DESIGN-PERF.md §8).
 //
 // A run on a recycled Probe is bit-identical to a run on a new one: every
 // recycled component resets to exactly its freshly-constructed state
@@ -51,8 +51,23 @@ type Probe struct {
 	capPer    int64
 }
 
-// NewProbe returns an empty probe; components materialize on first Run.
-func NewProbe() *Probe { return &Probe{} }
+// NewProbe returns a probe with its kernel, generator fleet, engine arena
+// and metrics storage built; the cluster and queues, whose shape depends
+// on the config, are built on first Run.
+func NewProbe() *Probe {
+	return &Probe{
+		k:           sim.NewKernel(0),
+		gen:         &generator.Generator{},
+		mem:         engine.NewMem(),
+		evLat:       metrics.NewHistogram(),
+		procLat:     metrics.NewHistogram(),
+		evSeries:    metrics.NewSeries("event_latency_s"),
+		procSeries:  metrics.NewSeries("processing_latency_s"),
+		evMaxSeries: metrics.NewSeries("event_latency_max_s"),
+		thrSeries:   metrics.NewSeries("ingest_rate_ev_s"),
+		qdSeries:    metrics.NewSeries("queue_depth_events"),
+	}
+}
 
 // Run executes one benchmark run like RunContext, drawing every component
 // from the probe's arena.
@@ -60,14 +75,11 @@ func (p *Probe) Run(ctx context.Context, eng engine.Engine, cfg Config) (*Result
 	return runContext(ctx, eng, cfg, p)
 }
 
-// components resets (or first builds) the kernel, cluster and queues for
-// a run of cfg.  cfg must already carry defaults.
+// components resets the kernel and resets (or, on a shape change,
+// rebuilds) the cluster and queues for a run of cfg.  cfg must already
+// carry defaults.
 func (p *Probe) components(cfg Config) (*sim.Kernel, *cluster.Cluster, *queue.Group, error) {
-	if p.k == nil {
-		p.k = sim.NewKernel(cfg.Seed)
-	} else {
-		p.k.Reset(cfg.Seed)
-	}
+	p.k.Reset(cfg.Seed)
 	// Provision for the rescale plan's maximum worker count (the
 	// plan-free maximum is cfg.Workers itself), then start with only
 	// cfg.Workers in service; the engine runtime walks the active count
@@ -91,47 +103,18 @@ func (p *Probe) components(cfg Config) (*sim.Kernel, *cluster.Cluster, *queue.Gr
 	} else {
 		p.queues.Reset()
 	}
-	if p.mem == nil {
-		p.mem = engine.NewMem()
-	}
 	return p.k, p.cl, p.queues, nil
-}
-
-// generatorFor rebinds (or first builds) the generator fleet.
-func (p *Probe) generatorFor(k *sim.Kernel, genCfg generator.Config, queues *queue.Group) (*generator.Generator, error) {
-	if p.gen == nil {
-		gen, err := generator.New(k, genCfg, queues)
-		if err != nil {
-			return nil, err
-		}
-		p.gen = gen
-		return gen, nil
-	}
-	if err := p.gen.Rebind(k, genCfg, queues); err != nil {
-		return nil, err
-	}
-	return p.gen, nil
 }
 
 // metricsInto points res at the probe's reset metrics storage.
 func (p *Probe) metricsInto(res *Result) {
-	if p.evLat == nil {
-		p.evLat = metrics.NewHistogram()
-		p.procLat = metrics.NewHistogram()
-		p.evSeries = metrics.NewSeries("event_latency_s")
-		p.procSeries = metrics.NewSeries("processing_latency_s")
-		p.evMaxSeries = metrics.NewSeries("event_latency_max_s")
-		p.thrSeries = metrics.NewSeries("ingest_rate_ev_s")
-		p.qdSeries = metrics.NewSeries("queue_depth_events")
-	} else {
-		p.evLat.Reset()
-		p.procLat.Reset()
-		p.evSeries.Reset()
-		p.procSeries.Reset()
-		p.evMaxSeries.Reset()
-		p.thrSeries.Reset()
-		p.qdSeries.Reset()
-	}
+	p.evLat.Reset()
+	p.procLat.Reset()
+	p.evSeries.Reset()
+	p.procSeries.Reset()
+	p.evMaxSeries.Reset()
+	p.thrSeries.Reset()
+	p.qdSeries.Reset()
 	res.EventLatency = p.evLat
 	res.ProcLatency = p.procLat
 	res.EventLatencySeries = p.evSeries

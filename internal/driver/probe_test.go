@@ -7,7 +7,11 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/engine"
 	"repro/internal/engine/flink"
+	"repro/internal/engine/ideal"
+	"repro/internal/engine/spark"
+	"repro/internal/engine/storm"
 	"repro/internal/fault"
 	"repro/internal/generator"
 	"repro/internal/workload"
@@ -24,19 +28,32 @@ func probeTestConfig(rate float64) Config {
 	}
 }
 
+// probeEngines is every engine model: each draws different state from the
+// arena (Storm its scratch queue and buffered windows, Spark its pane pool
+// and scratch series, Flink and the ideal engine incremental aggregation).
+func probeEngines() []engine.Engine {
+	return []engine.Engine{storm.New(storm.Options{}), spark.New(spark.Options{}), flink.New(flink.Options{}), ideal.New()}
+}
+
 // probeStep is one run of a probe-reuse sequence.
 type probeStep struct {
 	name string
 	cfg  Config
 }
 
-// checkProbeSequence runs every step in order on one Probe — each run
-// after the first on an arena dirtied by the previous, differently shaped
-// one — and requires each Result to deep-equal the same config run on a
-// new Probe.
+// checkProbeSequence runs, for every engine, every step in order on one
+// Probe — each run after the first on an arena dirtied by the previous,
+// differently shaped one — and requires each Result to deep-equal the
+// same config run on a new Probe.
 func checkProbeSequence(t *testing.T, steps []probeStep) {
 	t.Helper()
-	eng := flink.New(flink.Options{})
+	for _, eng := range probeEngines() {
+		t.Run(eng.Name(), func(t *testing.T) { checkProbeSequenceOn(t, eng, steps) })
+	}
+}
+
+func checkProbeSequenceOn(t *testing.T, eng engine.Engine, steps []probeStep) {
+	t.Helper()
 	p := NewProbe()
 	for _, st := range steps {
 		want, err := NewProbe().Run(context.Background(), eng, st.cfg)
@@ -57,10 +74,11 @@ func checkProbeSequence(t *testing.T, steps []probeStep) {
 	}
 }
 
-// TestProbeRunBitIdenticalToFresh is the arena determinism pin: one Probe
-// runs an aggregation, a join, a fault schedule, a rescale plan, a broker
-// config and an aggregation again, and every run must be deep-equal to
-// the same config on a new Probe — the path RunContext takes.
+// TestProbeRunBitIdenticalToFresh is the arena determinism pin: for every
+// engine, one Probe runs an aggregation, a join, a fault schedule, a
+// rescale plan, a broker config and an aggregation again, and every run
+// must be deep-equal to the same config on a new Probe — the path
+// RunContext takes.
 func TestProbeRunBitIdenticalToFresh(t *testing.T) {
 	join := probeTestConfig(0.3e6)
 	join.Query = workload.Default(workload.Join)
@@ -97,25 +115,32 @@ func TestProbeRunBitIdenticalToFresh(t *testing.T) {
 
 // TestProbeReusePerformsLittleAllocation pins the arena's reason to
 // exist: steady-state probe runs after the first must perform near-zero
-// setup allocation (the bound is loose against GC noise; a regression to
-// fresh construction is two orders of magnitude above it).
+// setup allocation on every engine and query (the bound is loose against
+// GC noise; a regression to fresh construction is two orders of magnitude
+// above it).
 func TestProbeReusePerformsLittleAllocation(t *testing.T) {
-	eng := flink.New(flink.Options{})
-	p := NewProbe()
-	cfg := probeTestConfig(0.6e6)
-	// Warm the arena through two runs so every component has grown.
-	for i := 0; i < 2; i++ {
-		if _, err := p.Run(context.Background(), eng, cfg); err != nil {
-			t.Fatal(err)
+	join := probeTestConfig(0.3e6)
+	join.Query = workload.Default(workload.Join)
+	for _, eng := range probeEngines() {
+		for _, cfg := range []Config{probeTestConfig(0.6e6), join} {
+			t.Run(eng.Name()+"/"+cfg.Query.Type.String(), func(t *testing.T) {
+				p := NewProbe()
+				// Warm the arena through two runs so every component has grown.
+				for i := 0; i < 2; i++ {
+					if _, err := p.Run(context.Background(), eng, cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				allocs := testing.AllocsPerRun(3, func() {
+					if _, err := p.Run(context.Background(), eng, cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs > 500 {
+					t.Fatalf("steady-state probe run allocated %.0f times, want near-zero (fresh construction is ~10k)", allocs)
+				}
+			})
 		}
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := p.Run(context.Background(), eng, cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 500 {
-		t.Fatalf("steady-state probe run allocated %.0f times, want near-zero (fresh construction is ~10k)", allocs)
 	}
 }
 

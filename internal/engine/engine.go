@@ -59,12 +59,11 @@ type Config struct {
 	// the paper's future-work section, exercised by the disorder and
 	// broker ablations.
 	WatermarkSlack time.Duration
-	// Mem, when non-nil, is the deployment's recycled-state arena: the
-	// driver runs every deployment on a driver.Probe, which passes its
-	// Mem to every Deploy, and the engine draws its runtime, window state
-	// and scratch queues from it instead of allocating fresh ones.  nil
-	// (an engine deployed directly, as the engine tests do) means fresh
-	// construction everywhere.
+	// Mem is the deployment's recycled-state arena, required: the engine
+	// draws its runtime, window state and scratch queue and series from
+	// it, so state grown by one run survives into the next.  The driver
+	// runs every deployment on a driver.Probe, which passes its Mem to
+	// every Deploy; a test deploying an engine directly passes NewMem().
 	Mem *Mem
 	// Faults, when non-nil, is the run's deterministic fault schedule:
 	// the runtime scales every source pull by the schedule's capacity
@@ -83,45 +82,44 @@ type Config struct {
 
 // Mem is the per-probe arena of engine state that survives between runs:
 // the Runtime (with its pull batch and hot-key table), the window
-// operator pool, and named scratch queues.  A Mem must only ever be used
-// by one run at a time; driver.Probe enforces that by construction.
+// operator pool, and one scratch queue and series.  A Mem must only ever
+// be used by one run at a time; driver.Probe enforces that by
+// construction.
 type Mem struct {
-	rt      *Runtime
+	rt      Runtime
 	windows window.Pool
-	queues  map[string]*queue.Queue
+	queue   *queue.Queue
+	series  metrics.Series
 }
 
-// NewMem returns an empty arena.
-func NewMem() *Mem { return &Mem{} }
-
-// Pool returns the window-state pool backing this deployment, or nil
-// when no arena is attached (window.Pool methods treat a nil pool as
-// "construct fresh").
-func (c Config) Pool() *window.Pool {
-	if c.Mem == nil {
-		return nil
+// NewMem returns an arena with the runtime's buffers and the scratch
+// queue built; window operators are built on first use.
+func NewMem() *Mem {
+	return &Mem{
+		rt:    Runtime{HotKeys: NewHotKeyTracker(), pullBatch: tuple.NewBatch(1024)},
+		queue: queue.New("scratch", 0),
 	}
-	return &c.Mem.windows
 }
 
-// ScratchQueue returns an empty unbounded queue for engine-internal
-// buffering (e.g. Storm's spout in-flight buffer), recycled from the
-// arena when one is attached so its grown ring survives across runs.
-func (c Config) ScratchQueue(name string) *queue.Queue {
-	if c.Mem == nil {
-		return queue.New(name, 0)
-	}
-	if c.Mem.queues == nil {
-		c.Mem.queues = make(map[string]*queue.Queue)
-	}
-	q, ok := c.Mem.queues[name]
-	if !ok {
-		q = queue.New(name, 0)
-		c.Mem.queues[name] = q
-	} else {
-		q.Reset()
-	}
-	return q
+// Pool returns the window-state pool backing this deployment.
+func (c Config) Pool() *window.Pool { return &c.Mem.windows }
+
+// ScratchQueue returns the arena's empty unbounded queue for
+// engine-internal buffering (Storm's spout in-flight buffer); its grown
+// ring survives across runs.
+func (c Config) ScratchQueue() *queue.Queue {
+	c.Mem.queue.Reset()
+	return c.Mem.queue
+}
+
+// ScratchSeries returns the arena's series, emptied and named name, for
+// an engine-internal time series (Spark's scheduler delay); its grown
+// backing array survives across runs.
+func (c Config) ScratchSeries(name string) *metrics.Series {
+	s := &c.Mem.series
+	s.Name = name
+	s.Reset()
+	return s
 }
 
 // WithDefaults fills unset fields.
@@ -145,6 +143,9 @@ func (c Config) Validate() error {
 	}
 	if c.Sink == nil {
 		return fmt.Errorf("engine: sink is required")
+	}
+	if c.Mem == nil {
+		return fmt.Errorf("engine: state arena (Mem) is required")
 	}
 	return c.Query.Validate()
 }
@@ -192,6 +193,9 @@ type Job interface {
 	// figures need (e.g. Spark's scheduler delay for Figure 11).  Keys
 	// are series names; may be empty, never nil entries.
 	ExtraSeries() map[string]*metrics.Series
+	// LateDropped reports how many simulated events the job dropped
+	// because they arrived after every window they belonged to fired.
+	LateDropped() int64
 }
 
 // CapacityLaw models an engine's CPU-side sustainable processing rate as a
@@ -224,7 +228,6 @@ func FitThroughPoints(c2, c4, c8 float64) CapacityLaw {
 	// From cap(2)=c2: 2A = c2(1 + B + C)        → A = c2(1+B+C)/2
 	// Substituting into the n=4 and n=8 equations yields two linear
 	// equations in B and C:
-	//   (2c2 - 3c4)B + (2c2 - 9c4)C = c4 - 2c2     … wait, derive cleanly:
 	//   4A = c4(1 + 3B + 9C)  → 2c2(1+B+C) = c4(1+3B+9C)
 	//     → (2c2-3c4)B + (2c2-9c4)C = c4 - 2c2
 	//   8A = c8(1 + 7B + 49C) → 4c2(1+B+C) = c8(1+7B+49C)

@@ -221,6 +221,7 @@ func testConfig(t *testing.T) Config {
 		Query:   workload.Default(workload.Aggregation),
 		Sources: queue.NewGroup("q", 2, 0),
 		Sink:    func(*tuple.Output) {},
+		Mem:     NewMem(),
 	}
 }
 
@@ -243,6 +244,11 @@ func TestConfigValidate(t *testing.T) {
 	c.Sink = nil
 	if c.Validate() == nil {
 		t.Fatal("nil sink accepted")
+	}
+	c = good
+	c.Mem = nil
+	if c.Validate() == nil {
+		t.Fatal("nil state arena accepted")
 	}
 	d := Config{}.WithDefaults()
 	if d.Tick != 10*time.Millisecond || d.EventWeight != 1 {
@@ -289,6 +295,7 @@ func BenchmarkRuntimePull(b *testing.B) {
 		Query:   workload.Default(workload.Aggregation),
 		Sources: queue.NewGroup("q", 16, 0),
 		Sink:    func(*tuple.Output) {},
+		Mem:     NewMem(),
 	}.WithDefaults()
 	rt := NewRuntime(sim.NewKernel(1), cfg)
 	const pull = 1024

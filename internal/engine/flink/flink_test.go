@@ -34,6 +34,7 @@ func deploy(t *testing.T, workers int, q workload.Query) *harness {
 		Sources:     h.queues,
 		Sink:        func(o *tuple.Output) { c := *o; h.outputs = append(h.outputs, &c) },
 		EventWeight: 1,
+		Mem:         engine.NewMem(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +232,7 @@ func TestExactlyOnceCheckpointsPauseIngestion(t *testing.T) {
 		job, err := New(Options{ExactlyOnce: exactly, CheckpointInterval: 5 * time.Second}).Deploy(h.k, engine.Config{
 			Cluster: cl, Query: workload.Default(workload.Aggregation),
 			Sources: h.queues, Sink: func(o *tuple.Output) {}, EventWeight: 2000,
+			Mem: engine.NewMem(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -269,6 +271,7 @@ func TestWatermarkSlackDelaysFiring(t *testing.T) {
 			Sources:     h.queues,
 			Sink:        func(o *tuple.Output) { c := *o; h.outputs = append(h.outputs, &c) },
 			EventWeight: 1, WatermarkSlack: slack,
+			Mem: engine.NewMem(),
 		})
 		if err != nil {
 			t.Fatal(err)

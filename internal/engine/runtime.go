@@ -18,10 +18,12 @@ type Runtime struct {
 	K   *sim.Kernel
 	Cfg Config
 
-	// Watermark is the maximum event time ingested so far.  The
-	// generator's per-queue streams are in order, so this is the exact
-	// completeness frontier: every window with End <= Watermark has seen
-	// all its input.
+	// Watermark is the maximum event time ingested so far.  Each
+	// generator queue's stream is in event-time order, but the maximum
+	// over all queues is not a completeness frontier: under backlog the
+	// sources drain unevenly, so a window with End <= Watermark may still
+	// have input waiting in a queue that fell behind, and that input is
+	// dropped as late when it arrives.
 	Watermark time.Duration
 
 	// HotKeys tracks the hottest grouping key's load share (Experiment 4).
@@ -31,9 +33,6 @@ type Runtime struct {
 	// real events processed, used only for the Figure 10 usage plots
 	// (the capacity laws, not this, decide throughput).
 	CPUPerMEvent float64
-	// NetBytesPerEvent is wire bytes charged per real event moved
-	// through the engine (ingest + shuffle).
-	NetBytesPerEvent float64
 
 	// Recovery is the engine's state-recovery cost model, set by the
 	// engine model at deploy time.  It only matters to checkpoint-restore
@@ -72,7 +71,8 @@ type Runtime struct {
 	rescaleBase   int
 	rescaleFactor float64
 
-	decayEvery int
+	// sinceDecay counts tuples pulled since the hot-key table last
+	// decayed.
 	sinceDecay int
 
 	// out is the reusable emission scratch: EmitAgg/EmitJoin build the
@@ -82,56 +82,26 @@ type Runtime struct {
 	out tuple.Output
 }
 
-// NewRuntime wires a runtime.  When cfg.Mem carries an arena, the
-// runtime (pull batch, hot-key table, emission scratch) is recycled from
-// it instead of allocated.
+// hotKeyDecayEvery is how many pulled tuples pass between hot-key decays.
+const hotKeyDecayEvery = 1000
+
+// NewRuntime resets the arena's runtime (cfg.Mem) for a new run and
+// returns it.  Only capacity carries over from the previous run: the
+// grown pull batch, hot-key table and fault vector.
 func NewRuntime(k *sim.Kernel, cfg Config) *Runtime {
-	if m := cfg.Mem; m != nil {
-		if m.rt == nil {
-			m.rt = freshRuntime(k, cfg)
-		} else {
-			m.rt.rebind(k, cfg)
-		}
-		return m.rt
-	}
-	return freshRuntime(k, cfg)
-}
-
-func freshRuntime(k *sim.Kernel, cfg Config) *Runtime {
-	return &Runtime{
-		K:                k,
-		Cfg:              cfg,
-		HotKeys:          NewHotKeyTracker(),
-		CPUPerMEvent:     30,
-		NetBytesPerEvent: float64(tuple.WireSizeBytes),
-		pullBatch:        tuple.NewBatch(1024),
-		decayEvery:       1000,
-		rescaleFactor:    1,
-	}
-}
-
-// rebind resets a recycled runtime to the fresh-construction state for a
-// new run, keeping the grown pull batch and hot-key table.
-func (rt *Runtime) rebind(k *sim.Kernel, cfg Config) {
-	rt.K = k
-	rt.Cfg = cfg
-	rt.Watermark = 0
+	rt := &cfg.Mem.rt
 	rt.HotKeys.Reset()
-	rt.CPUPerMEvent = 30
-	rt.NetBytesPerEvent = float64(tuple.WireSizeBytes)
-	rt.Recovery = fault.Recovery{}
-	rt.Rescale = fault.Rescale{}
-	rt.rescaleBase = 0
-	rt.rescaleFactor = 1
-	rt.ticker = nil
-	rt.failed = false
-	rt.failReason = ""
-	rt.stopped = false
-	rt.carry = 0
 	rt.pullBatch.Reset()
-	rt.decayEvery = 1000
-	rt.sinceDecay = 0
-	rt.out = tuple.Output{}
+	*rt = Runtime{
+		K:             k,
+		Cfg:           cfg,
+		HotKeys:       rt.HotKeys,
+		CPUPerMEvent:  30,
+		pullBatch:     rt.pullBatch,
+		faultBuf:      rt.faultBuf,
+		rescaleFactor: 1,
+	}
+	return rt
 }
 
 // Start runs fn every cfg.Tick until Stop or failure.  When the config
@@ -241,11 +211,11 @@ func (rt *Runtime) Pull(n int, now sim.Time) (*tuple.Batch, int64) {
 		weight += c.Weight[i]
 	}
 	if weight > 0 {
-		rt.Cfg.Cluster.SpreadNetwork(int64(rt.NetBytesPerEvent * float64(weight)))
+		rt.Cfg.Cluster.SpreadNetwork(int64(tuple.WireSizeBytes) * weight)
 		rt.Cfg.Cluster.SpreadCPU(rt.CPUPerMEvent * float64(weight) / 1e6)
 	}
 	rt.sinceDecay += rt.pullBatch.Len()
-	if rt.sinceDecay >= rt.decayEvery {
+	if rt.sinceDecay >= hotKeyDecayEvery {
 		rt.HotKeys.Decay()
 		rt.sinceDecay = 0
 	}

@@ -187,7 +187,7 @@ func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
 		rt:               engine.NewRuntime(k, cfg),
 		opts:             e.opts,
 		rng:              k.RNG("spark"),
-		schedDelaySeries: metrics.NewSeries("spark.scheduler_delay_s"),
+		schedDelaySeries: cfg.ScratchSeries("spark.scheduler_delay_s"),
 	}
 	j.rt.CPUPerMEvent = cpuPerMEvent
 	j.rt.Recovery = e.Recovery()

@@ -179,7 +179,7 @@ func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
 		rt:       engine.NewRuntime(k, cfg),
 		opts:     e.opts,
 		rng:      k.RNG("storm"),
-		inflight: cfg.ScratchQueue("spout-inflight"),
+		inflight: cfg.ScratchQueue(),
 	}
 	j.rt.CPUPerMEvent = cpuPerMEvent
 	j.rt.Recovery = e.Recovery()

@@ -33,6 +33,7 @@ func deploy(t *testing.T, workers int, q workload.Query, opts Options) *harness 
 		Sources:     h.queues,
 		Sink:        func(o *tuple.Output) { c := *o; h.outputs = append(h.outputs, &c) },
 		EventWeight: 1,
+		Mem:         engine.NewMem(),
 	})
 	if err != nil {
 		t.Fatal(err)

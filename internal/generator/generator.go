@@ -121,8 +121,8 @@ func (d UniformKeys) Cardinality() int { return d.N }
 //
 // A ZipfKeys literal in a config may be shared by concurrently executing
 // runs; the generator therefore never samples through the shared instance.
-// New calls bound() to give each run its own sampler, initialized
-// explicitly at construction (the sampler itself is a pure function of
+// Rebind calls bound() to give each run its own sampler, initialized
+// explicitly per run (the sampler itself is a pure function of
 // (N, S) plus the RNG passed per draw, so nothing run-specific leaks
 // between runs).
 type ZipfKeys struct {
@@ -150,8 +150,8 @@ func (d *ZipfKeys) Next(r *sim.RNG) int64 {
 func (d *ZipfKeys) Cardinality() int { return d.N }
 
 // boundKeyDist is the optional KeyDist extension implemented by
-// distributions that carry per-run sampler state.  New rebinds any such
-// distribution, so a config shared by concurrently executing runs never
+// distributions that carry per-run sampler state.  Rebind binds any such
+// distribution anew, so a config shared by concurrently executing runs never
 // shares sampler state; a new stateful KeyDist only has to implement
 // bound() to get the same protection.
 type boundKeyDist interface {
@@ -282,34 +282,20 @@ const reservoirSize = 4096
 // New wires a generator fleet to its driver queues.  One instance feeds one
 // queue; cfg.Instances must equal queues.Size().
 func New(k *sim.Kernel, cfg Config, queues *queue.Group) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
+	g := &Generator{}
+	if err := g.Rebind(k, cfg, queues); err != nil {
 		return nil, err
 	}
-	if queues.Size() != cfg.Instances {
-		return nil, fmt.Errorf("generator: %d instances need %d queues, got %d",
-			cfg.Instances, cfg.Instances, queues.Size())
-	}
-	// Stateful key distributions are rebound per run so configs can be
-	// shared by concurrently executing runs without sharing sampler state.
-	if b, ok := cfg.Keys.(boundKeyDist); ok {
-		cfg.Keys = b.bound()
-	}
-	return &Generator{
-		cfg:             cfg,
-		k:               k,
-		queues:          queues,
-		rng:             k.RNG("generator"),
-		recentPurchases: make([]purchaseID, 0, reservoirSize),
-		pool:            tuple.NewBatchPool(1024),
-	}, nil
+	return g, nil
 }
 
-// Rebind resets a generator fleet for a fresh run on a (reset) kernel,
-// keeping the grown reservoir and batch-pool slabs.  A rebound generator
-// behaves bit-identically to one built by New with the same arguments:
-// the RNG stream comes from the kernel (which Reseeds it on Reset), the
-// reservoir restarts empty, and the fractional-rate carry restarts at
-// zero.  Probe arenas (driver.Probe) use this between bisection probes.
+// Rebind resets a generator fleet (a zero Generator, or one from an
+// earlier run) for a run on a (reset) kernel, keeping the grown reservoir
+// and batch-pool slabs.  A rebound generator behaves bit-identically to a
+// new one: the RNG stream comes from the kernel (which Reseeds it on
+// Reset), the reservoir restarts empty, and the fractional-rate carry
+// restarts at zero.  Probe arenas (driver.Probe) use this between
+// bisection probes.
 func (g *Generator) Rebind(k *sim.Kernel, cfg Config, queues *queue.Group) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -318,19 +304,23 @@ func (g *Generator) Rebind(k *sim.Kernel, cfg Config, queues *queue.Group) error
 		return fmt.Errorf("generator: %d instances need %d queues, got %d",
 			cfg.Instances, cfg.Instances, queues.Size())
 	}
+	// Stateful key distributions are rebound per run so configs can be
+	// shared by concurrently executing runs without sharing sampler state.
 	if b, ok := cfg.Keys.(boundKeyDist); ok {
 		cfg.Keys = b.bound()
 	}
-	g.cfg = cfg
-	g.k = k
-	g.queues = queues
-	g.rng = k.RNG("generator")
-	g.carry = 0
-	g.recentPurchases = g.recentPurchases[:0]
-	g.reservoirNext = 0
-	g.totalWeight = 0
-	g.ticker = nil
-	g.stopped = false
+	pool, reservoir := g.pool, g.recentPurchases[:0]
+	if pool == nil {
+		pool, reservoir = tuple.NewBatchPool(1024), make([]purchaseID, 0, reservoirSize)
+	}
+	*g = Generator{
+		cfg:             cfg,
+		k:               k,
+		queues:          queues,
+		rng:             k.RNG("generator"),
+		recentPurchases: reservoir,
+		pool:            pool,
+	}
 	return nil
 }
 

@@ -4,7 +4,8 @@
 # Runs the pinned zero-allocation hot-path microbenchmarks once with
 # -benchmem and fails if any of them reports a non-zero allocs/op.  These
 # benchmarks are the steady-state contracts of DESIGN-PERF.md: the queue
-# ring, the generator tick, the window aggregation slab recycling, the
+# ring and its batched drain (Group.PopBatch), the generator tick, the
+# window aggregation slab recycling and Storm's buffered add, the
 # kernel's value-based scheduler (§7), the flat keyed-state tables, the
 # keyed window fire path (§8) and the engine runtime's source pull must
 # never allocate per event.
@@ -15,7 +16,7 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 if ! go test -run=NONE \
-	-bench='BenchmarkQueuePushPop|BenchmarkGeneratorTick|BenchmarkWindowAggregate|BenchmarkWindowKeyedFire|BenchmarkKernelSchedule|BenchmarkFlatTablePutGet|BenchmarkBatchColumnAppend|BenchmarkRuntimePull' \
+	-bench='BenchmarkQueuePushPop|BenchmarkQueueBatchTransfer|BenchmarkGeneratorTick|BenchmarkWindowAggregate|BenchmarkWindowBufferedAdd|BenchmarkWindowKeyedFire|BenchmarkKernelSchedule|BenchmarkFlatTablePutGet|BenchmarkBatchColumnAppend|BenchmarkRuntimePull' \
 	-benchtime=1x -benchmem \
 	./internal/queue/ ./internal/generator/ ./internal/window/ ./internal/sim/ ./internal/flat/ ./internal/tuple/ ./internal/engine/ >"$out" 2>&1; then
 	cat "$out"
